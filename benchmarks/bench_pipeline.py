@@ -124,8 +124,10 @@ def _campaign(suite, workers):
     """Analyses + plain matrix + translated matrix for one suite."""
     _analysis_pass(suite)
     suites = {suite.name: suite}
-    plain = run_matrix(suites, workers=workers)
-    translated = run_matrix(suites, workers=workers, translate_dialect=True, reuse_donor_runs_from=plain)
+    # one known-cells dict: the translated campaign reuses the plain donor runs
+    known = {}
+    plain = run_matrix(suites, workers=workers, known=known)
+    translated = run_matrix(suites, workers=workers, translate_dialect=True, known=known)
     # post-execution drivers (compliance and predicate tables) re-scan the suite
     _analysis_pass(suite)
     return plain, translated
@@ -377,8 +379,9 @@ def _store_campaign(store):
         suites[name] = build_suite(
             name, file_count=file_count, records_per_file=records_per_file, seed=STORE_CAMPAIGN_SEED, store=store
         )
-    plain = run_matrix(suites, store=store)
-    translated = run_matrix(suites, translate_dialect=True, reuse_donor_runs_from=plain, store=store)
+    known = {}
+    plain = run_matrix(suites, store=store, known=known)
+    translated = run_matrix(suites, translate_dialect=True, store=store, known=known)
     return plain, translated
 
 

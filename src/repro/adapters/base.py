@@ -155,43 +155,6 @@ class DBMSAdapter(ABC):
                 break
         return outcomes
 
-    # -- asyncio integration --------------------------------------------------------
-
-    async def execute_async(self, sql: str) -> ExecutionOutcome:
-        """Execute one statement without blocking the event loop.
-
-        The default offloads the synchronous :meth:`execute` to the running
-        loop's default thread executor — correct for every in-process adapter
-        (sqlite3 releases the GIL inside C, MiniDB just computes).  Adapters
-        wrapping a natively-async client override this with a real
-        ``await``.
-        """
-        import asyncio
-
-        return await asyncio.get_running_loop().run_in_executor(None, self.execute, sql)
-
-    async def run_suite_async(self, suite, *, runner=None, executor=None, **runner_kwargs):
-        """Run a whole test suite against this adapter without blocking the loop.
-
-        Builds a :class:`~repro.core.runner.TestRunner` over this (already
-        set-up) adapter — or uses the caller's ``runner`` — and offloads the
-        synchronous suite execution to ``executor`` (None = the loop's default
-        thread pool; pass :meth:`WorkerPool.local_executor
-        <repro.core.parallel.WorkerPool.local_executor>` to share a campaign's
-        thread lane).  One suite maps to one offloaded call, so an event loop
-        can drive several adapters' suites concurrently — the async face of the
-        streaming engine's cell fan-out.  Adapters backed by natively-async
-        clients can override this to run record-by-record on the loop itself.
-        """
-        import asyncio
-
-        if runner is None:
-            # local import: repro.core.runner imports this module
-            from repro.core.runner import TestRunner
-
-            runner = TestRunner(self, **runner_kwargs)
-        return await asyncio.get_running_loop().run_in_executor(executor, runner.run_suite, suite)
-
     def __enter__(self) -> "DBMSAdapter":
         self.setup()
         return self

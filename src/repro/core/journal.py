@@ -1,15 +1,16 @@
 """Campaign write-ahead journal: durable progress records for crash recovery.
 
 A campaign that dies mid-flight (SIGKILL, OOM, power loss) loses every piece
-of in-memory coordination state — ``run_matrix(resume=...)`` only ever worked
-within one process.  The journal makes campaign progress durable: an
-append-only JSONL file, one fsync'd line per event, recording which matrix
-cells started and finished (and which per-file artifacts they produced).
-Replaying the journal after a crash reconstructs exactly where the campaign
-stood, and a resumed ``run_matrix(journal=...)`` re-enters only the cells
-the journal does not show as complete — the per-file ``file-results``
-artifacts the dead process already persisted make that re-entry cost only
-the files that were genuinely in flight.
+of in-memory state, including the cells it already resolved.  The journal
+and the artifact store together are the one resume path: every campaign
+resolves its cells through :class:`repro.core.transplant.CellExecutor`,
+which writes this append-only JSONL file, one fsync'd line per event,
+recording which matrix cells started and finished (and which per-file
+artifacts they produced).  Replaying the journal after a crash reconstructs
+exactly where the campaign stood.  Re-running the same campaign replays its
+complete cells from the store, and the per-file ``file-results`` artifacts
+the dead process already persisted make re-entering the rest cost only the
+files that were genuinely in flight.
 
 Identity and placement:
 
@@ -72,7 +73,7 @@ def campaign_spec(
     translate_dialect: bool = False,
     max_records_per_file: int | None = None,
 ) -> dict:
-    """The canonical description of one ``run_matrix`` campaign.
+    """The canonical description of one campaign (one translate variant of a plan).
 
     Suites join by *content hash*, not by name alone: a campaign over a
     regenerated-but-identical corpus is the same campaign (and may resume a
@@ -211,8 +212,8 @@ class CampaignJournal:
     fresh file.  :meth:`append` is durable: the line is flushed and fsync'd
     before the call returns.  Appends are serialized by an internal lock
     (each :meth:`append_many` batch lands as one contiguous fsync'd block):
-    ``run_matrix`` journals from its coordinating thread, but the streaming
-    engine journals cells from its fan-out threads.
+    the cell executor journals from whichever thread resolves a cell, and
+    the streaming pass resolves cells on its fan-out threads.
     """
 
     def __init__(self, path: Path, campaign: str, spec: dict, fingerprint: str, handle: "io.BufferedWriter", replay: JournalReplay):

@@ -6,7 +6,7 @@ process one coordinated reaction instead:
 
 * The **drain latch** is a process-global flag the execution layers poll at
   their natural unit boundaries — between matrix cells
-  (:func:`repro.core.transplant.run_matrix`), between files inside a shard
+  (:class:`repro.core.transplant.CellExecutor`), between files inside a shard
   (:mod:`repro.core.parallel`), and between files of serial suite execution.
   Once the latch is set, in-flight files *finish* (their results flush to
   store and journal) and everything not yet started degrades to a partial

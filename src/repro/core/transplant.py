@@ -2,8 +2,10 @@
 
 The paper's RQ3 executes each suite on its *donor* (the DBMS it was written
 for) and RQ4 executes each suite on every *host*.  :func:`run_transplant`
-produces one :class:`TransplantResult` per (suite, host) pair, and
-:func:`run_matrix` produces the full matrix behind Figure 4 / Tables 4 and 6.
+produces one :class:`TransplantResult` per (suite, host) pair.
+:class:`CellExecutor` is the one loop that turns planned cells (:class:`CellKey`)
+into those calls for every campaign, and :func:`run_matrix` runs it over the
+full grid behind Figure 4 / Tables 4 and 6.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from repro.adapters.base import DBMSAdapter
 from repro.adapters.faults import FaultReport, FaultSummary
@@ -53,6 +56,19 @@ DEFAULT_EXTENSIONS = {
     "duckdb": {"json", "parquet"},
     "mysql": set(),
 }
+
+
+@dataclass(frozen=True, order=True)
+class CellKey:
+    """Identity of one campaign-matrix cell: run ``suite`` on ``host``."""
+
+    suite: str
+    host: str
+    translate: bool = False
+
+    @property
+    def is_donor_run(self) -> bool:
+        return DONOR_OF_SUITE.get(self.suite, self.suite) == self.host
 
 
 @dataclass
@@ -212,7 +228,7 @@ def run_transplant(
     cell-level retry (no rebuild is possible on a foreign instance).
 
     ``journal`` (a :class:`~repro.core.journal.CampaignJournal`, normally
-    wired by :func:`run_matrix`) records this cell's start and finish as
+    wired by :class:`CellExecutor`) records this cell's start and finish as
     durable write-ahead events: ``cell-start`` lands before any execution
     (including a warm store hit), ``cell-finish`` — with the cell's store
     digest and its per-file artifact digests — after the memo save.  A
@@ -556,9 +572,181 @@ class TransplantMatrix:
         """True when no cell was degraded to a partial result."""
         return not any(entry.infra_failures for entry in self.entries.values())
 
-    def is_full_grid(self, suites, hosts) -> bool:
-        """True when every (suite, host) pair of the given grid has a cell."""
-        return all((suite, host) in self.entries for suite in suites for host in hosts)
+
+def cell_alias(key: CellKey) -> CellKey:
+    """The cell that actually runs for ``key``.
+
+    Translation is the identity when donor == host (the runner skips it), so
+    a translated donor-on-donor cell *is* its plain sibling and resolves to
+    it.  The alias is part of the cache layer and honours the global cache
+    switch: with caching off, translated donor cells execute for real.
+    """
+    if key.translate and key.is_donor_run and perf_cache.caching_enabled():
+        return CellKey(key.suite, key.host)
+    return key
+
+
+def _drained_cell(suite: TestSuite, host: str) -> TransplantResult:
+    """The SKIP partial a cell degrades to when a shutdown drain is underway."""
+    reason = shutdown.drain_reason() or "shutdown drain"
+    suite_result = _synthesize_suite_result(suite, host, RecordOutcome.SKIP, f"shutdown drain: {reason}")
+    failure = InfraFailure(kind=shutdown.SHUTDOWN_DRAIN_KIND, suite=suite.name, host=host, detail=reason)
+    suite_result.infra_failures = [failure]
+    donor = DONOR_OF_SUITE.get(suite.name, suite.name)
+    return TransplantResult(suite=suite.name, host=host, donor=donor, result=suite_result, infra_failures=[failure])
+
+
+class CellExecutor:
+    """The one cell loop of every campaign.
+
+    :func:`run_matrix`, the streaming experiment pass and
+    :class:`~repro.experiments.context.ExperimentContext` all resolve their
+    matrix cells here, so every cell-level rule lives in one place:
+
+    * **alias** — a translated donor-on-donor cell resolves to its plain
+      sibling (:func:`cell_alias`);
+    * **reuse** — a cell already in ``known`` (``CellKey`` -> result of this
+      campaign) is served as-is; every cell resolved here is added to it, so
+      passing the same dict to several executors runs each cell once.  Known
+      results are trusted: they must come from the same ``float_tolerance``
+      and ``max_records_per_file``;
+    * **drain** — once a shutdown drain is requested
+      (:mod:`repro.core.shutdown`), a cell not yet started degrades to a SKIP
+      partial with a ``"shutdown-drain"`` failure; it never starts and is
+      never journaled;
+    * **journal** — ``journal`` is ``True`` (under ``<store root>/journals/``),
+      a directory, a ``.jsonl`` path, or an open
+      :class:`~repro.core.journal.CampaignJournal`.  A setting opens one
+      journal per translate variant of ``plan`` — plain and translated cells
+      are distinct campaigns — identified by the variant's sorted suites and
+      hosts, so re-running the same plan finds the same journal.  A variant
+      whose cells are all known opens nothing;
+    * **execute** — everything else is one :func:`run_transplant` call with
+      the executor's store, pools and resilience policy.
+
+    Iterating yields ``(key, result)`` along ``plan``; :meth:`resolve` serves
+    one cell (the streaming pass's thread lane calls it concurrently).  Pools
+    and journals created here are closed by :meth:`close`.
+    """
+
+    def __init__(
+        self,
+        suites: "dict[str, TestSuite]",
+        plan: "list[CellKey]",
+        known: "dict[CellKey, TransplantResult] | None" = None,
+        *,
+        float_tolerance: float = 0.0,
+        max_records_per_file: int | None = None,
+        workers: int = 1,
+        executor: str = "auto",
+        adapter_pool: AdapterPool | None = None,
+        worker_pool=None,
+        store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
+        incremental: bool = True,
+        resilience: ResiliencePolicy | None = None,
+        journal: "CampaignJournal | str | os.PathLike | bool | None" = None,
+    ):
+        from repro.core.parallel import WorkerPool
+
+        self.suites = suites
+        self.plan = list(plan)
+        self.known = {} if known is None else known
+        self.float_tolerance = float_tolerance
+        self.max_records_per_file = max_records_per_file
+        self.workers = workers
+        self.executor = executor
+        # resolve once so every cell of the campaign hits the same store
+        self.store = artifact_store.active_store(store)
+        self.incremental = incremental
+        self.resilience = resilience
+        self._owned_journals: list[CampaignJournal] = []
+        self.journals = self._open_journals(journal)
+        self._owned_adapter_pool = adapter_pool is None
+        self.adapter_pool = AdapterPool() if adapter_pool is None else adapter_pool
+        self._owned_worker_pool = worker_pool is None and workers > 1
+        self.worker_pool = WorkerPool(workers, executor) if self._owned_worker_pool else worker_pool
+
+    def _open_journals(self, setting) -> "dict[bool, CampaignJournal]":
+        if setting is None or setting is False:
+            return {}
+        if isinstance(setting, CampaignJournal):
+            return {False: setting, True: setting}
+        if self.store is None:
+            raise ValueError("journal=... requires an artifact store (the campaign id embeds its fingerprint)")
+        journals = {}
+        for translate in (False, True):
+            variant = [key for key in self.plan if key.translate == translate]
+            if all(cell_alias(key) in self.known for key in variant):
+                continue
+            spec = campaign_spec(
+                {name: self.suites[name] for name in sorted({key.suite for key in variant})},
+                tuple(sorted({key.host for key in variant})),
+                float_tolerance=self.float_tolerance,
+                translate_dialect=translate,
+                max_records_per_file=self.max_records_per_file,
+            )
+            fingerprint = self.store.fingerprint
+            if setting is True:
+                journal = CampaignJournal.open_in(Path(self.store.root) / JOURNAL_DIRNAME, spec, fingerprint)
+            elif Path(setting).suffix == ".jsonl" or Path(setting).is_file():
+                journal = CampaignJournal.open(setting, spec, fingerprint)
+            else:
+                journal = CampaignJournal.open_in(setting, spec, fingerprint)
+            self._owned_journals.append(journal)
+            journals[translate] = journal
+            if journal.replay.incomplete_cells():
+                logger.info(
+                    "journal %s: resuming campaign %s... — %d cell(s) in flight at last exit",
+                    journal.path, journal.campaign[:16], len(journal.replay.incomplete_cells()),
+                )
+        return journals
+
+    def resolve(self, key: CellKey) -> TransplantResult:
+        """The result of one cell: known, drained, or executed now."""
+        cell = cell_alias(key)
+        result = self.known.get(cell)
+        if result is not None:
+            return result
+        suite = self.suites[cell.suite]
+        if shutdown.draining():
+            result = _drained_cell(suite, cell.host)
+        else:
+            result = run_transplant(
+                suite,
+                cell.host,
+                float_tolerance=self.float_tolerance,
+                translate_dialect=cell.translate,
+                max_records_per_file=self.max_records_per_file,
+                workers=self.workers,
+                executor=self.executor,
+                pool=self.adapter_pool,
+                worker_pool=self.worker_pool,
+                store=self.store,
+                incremental=self.incremental,
+                resilience=self.resilience,
+                # journaled in the campaign the caller planned the cell for
+                journal=self.journals.get(key.translate),
+            )
+        self.known[cell] = result
+        return result
+
+    def __iter__(self) -> "Iterator[tuple[CellKey, TransplantResult]]":
+        for key in self.plan:
+            yield key, self.resolve(key)
+
+    def close(self) -> None:
+        if self._owned_worker_pool:
+            self.worker_pool.shutdown()
+        if self._owned_adapter_pool:
+            self.adapter_pool.close()
+        for journal in self._owned_journals:
+            journal.close()
+
+    def __enter__(self) -> "CellExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def run_matrix(
@@ -569,16 +757,22 @@ def run_matrix(
     max_records_per_file: int | None = None,
     workers: int = 1,
     executor: str = "auto",
-    reuse_donor_runs_from: TransplantMatrix | None = None,
     adapter_pool: AdapterPool | None = None,
     worker_pool=None,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
     incremental: bool = True,
     resilience: ResiliencePolicy | None = None,
-    resume: TransplantMatrix | None = None,
+    known: "dict[CellKey, TransplantResult] | None" = None,
     journal: "CampaignJournal | str | os.PathLike | bool | None" = None,
 ) -> TransplantMatrix:
     """Run every suite on every host (the Figure 4 campaign).
+
+    The full suite x host grid goes through one :class:`CellExecutor`, which
+    holds every cell-level rule: the translated donor-cell alias, reuse of
+    ``known`` cells, the write-ahead ``journal``, the shutdown drain and the
+    :func:`run_transplant` call.  Pass the same ``known`` dict to a plain and
+    a translated campaign and the translated one reuses the plain donor runs;
+    pass it again and the matrix is read back without executing anything.
 
     Adapters are reused across the campaign instead of rebuilt per transplant:
     the serial path leases each host's adapter from one :class:`AdapterPool`,
@@ -588,152 +782,39 @@ def run_matrix(
     beyond a single matrix (see :class:`~repro.experiments.context.ExperimentContext`);
     pools created here are closed here.
 
-    ``reuse_donor_runs_from`` lets a translated campaign reuse the donor-on-
-    donor entries of an already-computed plain matrix: translation is the
-    identity when donor == host (the runner skips it outright), so those runs
-    are exactly equal and re-executing them is pure redundancy.  The reuse is
-    part of the cache layer and honours the global cache switch.  Entries are
-    copied as-is — the donor matrix must have been computed with the same
-    ``float_tolerance`` / ``max_records_per_file`` as this campaign (as
-    :class:`~repro.experiments.context.ExperimentContext` guarantees), or the
-    reused cells reflect the old parameters.
-
-    ``store`` extends that reuse across processes: *every* cell — donor runs
-    and cross-host transplants alike — is served from the persistent artifact
+    ``store`` extends reuse across processes: *every* cell — donor runs and
+    cross-host transplants alike — is served from the persistent artifact
     store (see :func:`run_transplant`), so a repeated campaign with all cells
     persisted replays the whole matrix without executing anything.
     ``incremental`` additionally assembles suite-level misses from per-file
     ``file-results`` artifacts, so a campaign over an *edited* suite
     re-executes only the changed files of every cell.
 
-    ``resilience`` is threaded into every cell (see :func:`run_transplant`).
-    ``resume`` takes the matrix of a previous — possibly degraded — campaign:
-    complete cells are carried over by reference and **only the gaps** (cells
-    missing or carrying ``infra_failures``) are re-entered, so recovering from
-    a quarantined adapter costs one cell per gap, not a full campaign.
-
-    ``journal`` extends that recovery across *process death*: pass ``True``
-    to keep a durable write-ahead journal under the store
-    (``<store root>/journals/``), a directory to keep it there, a ``.jsonl``
-    path (or existing file) to name the file outright, or an already-open
-    :class:`~repro.core.journal.CampaignJournal`.  Every cell's start and
-    finish is fsync'd before the campaign moves on, so a SIGKILL'd campaign
-    can be re-run with the same arguments: the journal validates that it is
-    the same campaign (same suites/hosts/parameters/store fingerprint — a
-    mismatch raises :class:`~repro.errors.JournalMismatchError`), warm cells
-    replay from the store, and only work that was genuinely in flight
-    re-executes.  Journals a path resolved here are closed here.
-
-    When a drain has been requested (:mod:`repro.core.shutdown` — typically
-    by SIGINT/SIGTERM under ``signal_aware_shutdown``), cells not yet started
-    degrade to SKIP partials carrying an ``InfraFailure`` of kind
-    ``"shutdown-drain"`` instead of executing, so the campaign flows out
-    through the ordinary partial-results path (exit code 2, resumable).
+    The journal and the store are the one resume path.  Degraded cells are
+    never memoized, so re-running a degraded or SIGKILL'd campaign with the
+    same arguments replays its clean cells from the store and re-executes
+    only the gaps and the work that was in flight; a journal belonging to a
+    different campaign (suites, hosts, parameters or store fingerprint)
+    raises :class:`~repro.errors.JournalMismatchError`.  A drained campaign
+    reports its unstarted cells as partial (exit code 2, resumable).
     """
-    from repro.core.parallel import WorkerPool
-
-    # resolve once so every transplant of the campaign hits the same store
-    store = artifact_store.active_store(store)
-    owned_journal = None
-    if journal is False:
-        journal = None
-    elif journal is not None and not isinstance(journal, CampaignJournal):
-        if store is None:
-            raise ValueError("run_matrix(journal=...) requires an artifact store (the campaign id embeds its fingerprint)")
-        spec = campaign_spec(
-            suites,
-            tuple(hosts),
-            float_tolerance=float_tolerance,
-            translate_dialect=translate_dialect,
-            max_records_per_file=max_records_per_file,
-        )
-        if journal is True:
-            owned_journal = CampaignJournal.open_in(Path(store.root) / JOURNAL_DIRNAME, spec, store.fingerprint)
-        else:
-            path = Path(journal)
-            if path.suffix == ".jsonl" or path.is_file():
-                owned_journal = CampaignJournal.open(path, spec, store.fingerprint)
-            else:
-                owned_journal = CampaignJournal.open_in(path, spec, store.fingerprint)
-        journal = owned_journal
-    if journal is not None and journal.replay.incomplete_cells():
-        logger.info(
-            "journal %s: resuming campaign %s... — %d cell(s) in flight at last exit",
-            journal.path, journal.campaign[:16], len(journal.replay.incomplete_cells()),
-        )
-
-    owns_adapter_pool = adapter_pool is None
-    if adapter_pool is None:
-        adapter_pool = AdapterPool()
-    owns_worker_pool = worker_pool is None and workers > 1
-    if worker_pool is None and workers > 1:
-        worker_pool = WorkerPool(workers, executor)
-
+    plan = [CellKey(name, host, translate_dialect) for name in suites for host in hosts]
     matrix = TransplantMatrix()
-    try:
-        for suite in suites.values():
-            for host in hosts:
-                donor = DONOR_OF_SUITE.get(suite.name, suite.name)
-                if shutdown.draining():
-                    # a drained cell never starts (and is never journaled as
-                    # started): it degrades to a SKIP partial so the campaign
-                    # reports incomplete and a resume re-enters exactly here
-                    reason = shutdown.drain_reason() or "shutdown drain"
-                    suite_result = _synthesize_suite_result(
-                        suite, host, RecordOutcome.SKIP, f"shutdown drain: {reason}"
-                    )
-                    failure = InfraFailure(
-                        kind=shutdown.SHUTDOWN_DRAIN_KIND, suite=suite.name, host=host, detail=reason
-                    )
-                    suite_result.infra_failures = [failure]
-                    matrix.add(
-                        TransplantResult(
-                            suite=suite.name, host=host, donor=donor, result=suite_result, infra_failures=[failure]
-                        )
-                    )
-                    continue
-                if resume is not None:
-                    prior = resume.entries.get((suite.name, host))
-                    if prior is not None and not prior.infra_failures:
-                        matrix.add(prior)
-                        if journal is not None and not journal.is_cell_complete(suite.name, host):
-                            journal.cell_finished(suite.name, host, complete=True)
-                        continue
-                    if prior is not None:
-                        logger.info("re-entering incomplete cell (%s, %s)", suite.name, host)
-                if reuse_donor_runs_from is not None and perf_cache.caching_enabled():
-                    if donor == host and (suite.name, host) in reuse_donor_runs_from.entries:
-                        carried = reuse_donor_runs_from.get(suite.name, host)
-                        matrix.add(carried)
-                        if (
-                            journal is not None
-                            and not carried.infra_failures
-                            and not journal.is_cell_complete(suite.name, host)
-                        ):
-                            journal.cell_finished(suite.name, host, complete=True)
-                        continue
-                matrix.add(
-                    run_transplant(
-                        suite,
-                        host,
-                        float_tolerance=float_tolerance,
-                        translate_dialect=translate_dialect,
-                        max_records_per_file=max_records_per_file,
-                        workers=workers,
-                        executor=executor,
-                        pool=adapter_pool,
-                        worker_pool=worker_pool,
-                        store=store,
-                        incremental=incremental,
-                        resilience=resilience,
-                        journal=journal,
-                    )
-                )
-    finally:
-        if owns_worker_pool and worker_pool is not None:
-            worker_pool.shutdown()
-        if owns_adapter_pool:
-            adapter_pool.close()
-        if owned_journal is not None:
-            owned_journal.close()
+    with CellExecutor(
+        suites,
+        plan,
+        known,
+        float_tolerance=float_tolerance,
+        max_records_per_file=max_records_per_file,
+        workers=workers,
+        executor=executor,
+        adapter_pool=adapter_pool,
+        worker_pool=worker_pool,
+        store=store,
+        incremental=incremental,
+        resilience=resilience,
+        journal=journal,
+    ) as cells:
+        for _key, result in cells:
+            matrix.add(result)
     return matrix

@@ -30,25 +30,14 @@ import difflib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.transplant import DEFAULT_HOSTS, DONOR_OF_SUITE
+# CellKey lives with the cell executor and is re-exported here, next to the
+# needs that declare cells
+from repro.core.transplant import DEFAULT_HOSTS, DONOR_OF_SUITE, CellKey
 from repro.errors import UnknownExperimentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transplant import TransplantResult
     from repro.experiments.context import ExperimentContext, ExperimentResult
-
-
-@dataclass(frozen=True, order=True)
-class CellKey:
-    """Identity of one campaign-matrix cell: run ``suite`` on ``host``."""
-
-    suite: str
-    host: str
-    translate: bool = False
-
-    @property
-    def is_donor_run(self) -> bool:
-        return DONOR_OF_SUITE.get(self.suite, self.suite) == self.host
 
 
 def donor_cells(*suites: str) -> tuple[CellKey, ...]:

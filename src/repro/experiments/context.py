@@ -11,7 +11,7 @@ from repro.adapters.pool import AdapterPool
 from repro.core.journal import JOURNAL_DIRNAME
 from repro.core.records import TestSuite
 from repro.core.resilience import ResiliencePolicy, set_default_timeout
-from repro.core.transplant import DEFAULT_HOSTS, TransplantMatrix, run_matrix
+from repro.core.transplant import DEFAULT_HOSTS, CellKey, TransplantMatrix, TransplantResult, run_matrix
 from repro.corpus import build_all_suites, build_suite
 from repro.store import ArtifactStore
 from repro.store import artifacts as artifact_store
@@ -57,8 +57,14 @@ class ExperimentContext:
     :func:`repro.core.resilience.set_default_timeout`); ``resilience``
     overrides the whole campaign resilience policy, which is threaded into
     every matrix cell.  :meth:`infra_failures` reports the unrecovered
-    infrastructure faults of every matrix computed so far — the CLI maps a
+    infrastructure faults of every cell resolved so far — the CLI maps a
     non-empty list to its "partial results" exit code.
+
+    :attr:`cells` holds every matrix cell the campaign resolved, whether a
+    streaming pass or a :attr:`matrix` read asked for it; both go through
+    :class:`~repro.core.transplant.CellExecutor` with this dict as its known
+    cells, so no cell executes twice and reading the matrices after a full
+    pass executes nothing.
     """
 
     def __init__(
@@ -86,7 +92,7 @@ class ExperimentContext:
         #: :func:`repro.core.resilience.default_policy` at execution time
         self.resilience = resilience
         #: write-ahead journal setting threaded into every campaign
-        #: (see :func:`repro.core.transplant.run_matrix`): ``True`` journals
+        #: (see :class:`repro.core.transplant.CellExecutor`): ``True`` journals
         #: under the store, a path journals there, ``None`` disables.  The
         #: plain and translated matrices are distinct campaigns and keep
         #: distinct journal files.
@@ -107,18 +113,14 @@ class ExperimentContext:
         self.executor = executor
         self._suites: dict[str, TestSuite] | None = None
         self._mysql_suite: TestSuite | None = None
-        self._matrix: TransplantMatrix | None = None
-        self._translated_matrix: TransplantMatrix | None = None
+        #: every matrix cell resolved so far, keyed by its (aliased) CellKey
+        self.cells: dict[CellKey, TransplantResult] = {}
         #: campaign-lifetime adapter pool: the plain and translated matrices
         #: (and any driver-level transplants routed through the context) share
         #: leased adapters instead of rebuilding them per transplant
         self.adapter_pool = AdapterPool()
         self._worker_pool = None
         self._analysis = None
-        #: cells resolved by streaming passes (:mod:`repro.experiments.stream`)
-        #: that are not part of a full adopted matrix; keyed by
-        #: :class:`~repro.experiments.base.CellKey`
-        self._stream_cells: dict = {}
 
     @property
     def worker_pool(self):
@@ -221,44 +223,31 @@ class ExperimentContext:
     @property
     def matrix(self) -> TransplantMatrix:
         """The full cross-execution matrix (every suite on every host)."""
-        if self._matrix is None:
-            self._matrix = run_matrix(
-                self.suites,
-                hosts=self.hosts,
-                workers=self.workers,
-                executor=self.executor,
-                adapter_pool=self.adapter_pool,
-                worker_pool=self.worker_pool,
-                store=self.store,
-                incremental=self.incremental,
-                resilience=self.resilience,
-                journal=self.journal,
-            )
-        return self._matrix
+        return self._grid(translate_dialect=False)
 
     @property
     def translated_matrix(self) -> TransplantMatrix:
         """The same matrix with the cross-dialect translator enabled (ablation)."""
-        if self._translated_matrix is None:
-            self._translated_matrix = run_matrix(
-                self.suites,
-                hosts=self.hosts,
-                translate_dialect=True,
-                workers=self.workers,
-                executor=self.executor,
-                # donor-on-donor runs are translation no-ops: reuse them from
-                # the plain matrix when it has already been computed
-                reuse_donor_runs_from=self._matrix,
-                # both matrices share the context's pools: host adapters and
-                # sharded workers survive from the plain campaign into this one
-                adapter_pool=self.adapter_pool,
-                worker_pool=self.worker_pool,
-                store=self.store,
-                incremental=self.incremental,
-                resilience=self.resilience,
-                journal=self.journal,
-            )
-        return self._translated_matrix
+        return self._grid(translate_dialect=True)
+
+    def _grid(self, translate_dialect: bool) -> TransplantMatrix:
+        # a full-grid read of the campaign's cells: only cells no earlier pass
+        # or read resolved execute (translated donor runs alias to plain ones),
+        # on the context's pools, so adapters and workers survive across reads
+        return run_matrix(
+            self.suites,
+            hosts=self.hosts,
+            translate_dialect=translate_dialect,
+            workers=self.workers,
+            executor=self.executor,
+            adapter_pool=self.adapter_pool,
+            worker_pool=self.worker_pool,
+            store=self.store,
+            incremental=self.incremental,
+            resilience=self.resilience,
+            known=self.cells,
+            journal=self.journal,
+        )
 
     def journal_location(self) -> str | None:
         """Where this context's campaign journals live, or None when off.
@@ -286,67 +275,10 @@ class ExperimentContext:
         """The executable suite names in corpus (and campaign) order."""
         return tuple(self.suites)
 
-    def built_suite_names(self) -> tuple[str, ...]:
-        """Suite names if the corpora are already built, else () — never builds."""
-        return tuple(self._suites) if self._suites is not None else ()
-
-    # -- streaming-pass cell cache ---------------------------------------------------
-
-    def peek_cell(self, key):
-        """The already-computed result for one matrix cell, or None.
-
-        Consulted by the streaming engine before executing a cell: earlier
-        streaming passes and already-computed full matrices both count, so a
-        warm context resolves cells without re-running anything.  Never
-        triggers a campaign.
-        """
-        result = self._stream_cells.get(key)
-        if result is not None:
-            return result
-        matrix = self._translated_matrix if key.translate else self._matrix
-        if matrix is not None:
-            return matrix.entries.get((key.suite, key.host))
-        return None
-
-    def note_stream_cell(self, key, result) -> None:
-        """Record one cell executed by a streaming pass (see :meth:`peek_cell`)."""
-        self._stream_cells[key] = result
-
-    def adopt_matrix(self, matrix: TransplantMatrix, translated: bool = False) -> None:
-        """Install a full-grid matrix assembled by a streaming pass.
-
-        Later reads of :attr:`matrix` / :attr:`translated_matrix` (and
-        :meth:`donor_result`) then resolve from the pass instead of launching
-        a fresh campaign.  A matrix the context already computed wins — the
-        pass drew its cells from it anyway.
-        """
-        names = self.built_suite_names()
-        if not names or not matrix.is_full_grid(names, self.hosts):
-            return
-        if translated:
-            if self._translated_matrix is None:
-                self._translated_matrix = matrix
-        elif self._matrix is None:
-            self._matrix = matrix
-
     def infra_failures(self) -> list:
-        """Unrecovered infrastructure faults across every computed matrix.
+        """Unrecovered infrastructure faults of every cell resolved so far.
 
-        Streaming passes contribute the cells they executed; fault reports
-        shared between a matrix and the stream cache (adopted matrices,
-        donor-cell reuse) are counted once.  Only work that already happened
-        is consulted — asking for failures must not trigger a campaign.
+        Only work that already happened is consulted — asking for failures
+        must not trigger a campaign.
         """
-        failures: list = []
-        seen: set[int] = set()
-        for matrix in (self._matrix, self._translated_matrix):
-            if matrix is not None:
-                for failure in matrix.infra_failures():
-                    seen.add(id(failure))
-                    failures.append(failure)
-        for result in self._stream_cells.values():
-            for failure in result.infra_failures:
-                if id(failure) not in seen:
-                    seen.add(id(failure))
-                    failures.append(failure)
-        return failures
+        return [failure for result in self.cells.values() for failure in result.infra_failures]

@@ -6,15 +6,16 @@ One pass over the campaign matrix feeds *every* selected experiment:
    the selected registry entries into a deduplicated cell list in campaign
    order (plain cells before translated, suites outer, hosts inner — the same
    nesting :func:`repro.core.transplant.run_matrix` uses, so store and pool
-   behaviour match the batch path).  Translated donor-on-donor cells are
-   aliases of their plain siblings (translation is the identity there) and are
-   normalised away whenever caching is enabled, mirroring
-   ``run_matrix(reuse_donor_runs_from=...)``.
-2. **Execute** — each unique cell runs exactly once per pass, via
-   :func:`repro.core.transplant.run_transplant` with the context's store,
-   pools, and resilience policy: store-warm cells resolve instantly, degraded
-   cells surface through :meth:`ExperimentContext.infra_failures`.  With
-   ``max_inflight > 1`` cells fan out over the
+   behaviour match the batch path).  Cells are deduplicated after
+   :func:`~repro.core.transplant.cell_alias`, so a translated donor-on-donor
+   cell and its plain sibling run once.
+2. **Execute** — the plan goes through the same
+   :class:`~repro.core.transplant.CellExecutor` every campaign uses, with the
+   context's store, pools, resilience policy, journal setting and resolved
+   cells (:attr:`ExperimentContext.cells`): each unique cell runs at most once
+   per context, store-warm cells resolve instantly, degraded cells surface
+   through :meth:`ExperimentContext.infra_failures`.  With
+   ``max_inflight > 1`` single cells fan out over the
    :class:`~repro.core.parallel.WorkerPool` thread lane so slow hosts overlap;
    serially the cells keep the batch path's per-file sharding.
 3. **Fan out** — every completed cell is delivered to each subscribed
@@ -35,10 +36,9 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.transplant import DONOR_OF_SUITE, TransplantMatrix, run_transplant
+from repro.core.transplant import CellExecutor, cell_alias
 from repro.experiments.base import CellKey, ExperimentEntry, get_experiment_entry
 from repro.experiments.context import ExperimentContext, ExperimentResult
-from repro.perf import cache as perf_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transplant import TransplantResult
@@ -71,19 +71,6 @@ def _resolve_entries(experiment_ids) -> list[ExperimentEntry]:
     return entries
 
 
-def _normalize(key: CellKey) -> CellKey:
-    """Collapse translated donor-on-donor cells onto their plain siblings.
-
-    Translation is the identity when donor == host (the runner skips it), so
-    the plain cell's result *is* the translated cell's result — the same reuse
-    ``run_matrix(reuse_donor_runs_from=...)`` applies, honouring the same
-    global cache switch.
-    """
-    if key.translate and DONOR_OF_SUITE.get(key.suite, key.suite) == key.host and perf_cache.caching_enabled():
-        return CellKey(key.suite, key.host, False)
-    return key
-
-
 def _plan_cells(entries: list[ExperimentEntry], context: ExperimentContext) -> list[CellKey]:
     """The deduplicated union of every entry's cells, in campaign order.
 
@@ -93,7 +80,7 @@ def _plan_cells(entries: list[ExperimentEntry], context: ExperimentContext) -> l
     calls walk the grid, so adapters and store entries are touched in the
     same sequence.
     """
-    needed = {_normalize(key) for entry in entries for key in entry.needs.cells}
+    needed = {cell_alias(key) for entry in entries for key in entry.needs.cells}
     suite_order = {name: index for index, name in enumerate(_EXECUTABLE_SUITES)}
     host_order = {name: index for index, name in enumerate(context.hosts)}
     return sorted(
@@ -123,94 +110,17 @@ def _warm_corpora(entries: list[ExperimentEntry], plan: list[CellKey], context: 
         context.mysql_suite
 
 
-def _open_pass_journals(context: ExperimentContext, plan: list[CellKey]) -> dict:
-    """Open this pass's write-ahead journals, one per translate variant.
-
-    The streaming pass is a campaign like any other: when the context has
-    journaling enabled (``ExperimentContext(journal=...)`` / CLI
-    ``--journal``), each cell's start/finish — and its per-file artifact
-    keys — land in a durable journal so a killed pass resumes with
-    ``--resume-from`` exactly like ``run_matrix`` does.  Plain and
-    translated cells are distinct campaigns (the translate switch is part
-    of campaign identity), so a mixed plan opens up to two journals; their
-    specs are derived from the plan's own suites and hosts, which makes the
-    identity stable across reruns of the same experiment selection.
-    """
-    setting = getattr(context, "journal", None)
-    if setting is None or setting is False:
-        return {}
-    from pathlib import Path
-
-    from repro.core.journal import JOURNAL_DIRNAME, CampaignJournal, campaign_spec
-    from repro.store import artifacts as artifact_store
-
-    store = artifact_store.active_store(context.store)
-    if store is None:
-        return {}
-    journals: dict = {}
-    for translate in (False, True):
-        keys = [key for key in plan if key.translate == translate]
-        if not keys:
-            continue
-        suites = {name: context.suites[name] for name in sorted({key.suite for key in keys})}
-        hosts = tuple(sorted({key.host for key in keys}))
-        spec = campaign_spec(suites, hosts, translate_dialect=translate)
-        if setting is True:
-            journals[translate] = CampaignJournal.open_in(Path(store.root) / JOURNAL_DIRNAME, spec, store.fingerprint)
-        else:
-            path = Path(setting)
-            if path.suffix == ".jsonl" or path.is_file():
-                journals[translate] = CampaignJournal.open(path, spec, store.fingerprint)
-            else:
-                journals[translate] = CampaignJournal.open_in(path, spec, store.fingerprint)
-    return journals
-
-
-def _execute_transplant(context: ExperimentContext, key: CellKey, workers: int, worker_pool, journal=None) -> "TransplantResult":
-    """Run one matrix cell with the context's store, pools, and policy."""
-    # journal only travels when the pass opened one: run_transplant fakes in
-    # the engine's unit tests (and third-party stand-ins) predate the kwarg
-    extra = {"journal": journal} if journal is not None else {}
-    return run_transplant(
-        context.suites[key.suite],
-        key.host,
-        translate_dialect=key.translate,
-        workers=workers,
-        executor=context.executor,
-        pool=context.adapter_pool,
-        worker_pool=worker_pool,
-        store=context.store,
-        incremental=context.incremental,
-        resilience=context.resilience,
-        **extra,
-    )
-
-
-def _resolve_cell(context: ExperimentContext, key: CellKey, workers: int, worker_pool, journal=None) -> "TransplantResult":
-    cached = context.peek_cell(key)
-    if cached is not None:
-        return cached
-    if journal is None:
-        # positional-only call: test doubles (and third-party stand-ins) for
-        # _execute_transplant predate the journal kwarg
-        result = _execute_transplant(context, key, workers, worker_pool)
-    else:
-        result = _execute_transplant(context, key, workers, worker_pool, journal=journal)
-    context.note_stream_cell(key, result)
-    return result
-
-
 class _Subscription:
     """One experiment's place in the pass: pending cells and requested keys."""
 
     def __init__(self, entry: ExperimentEntry, context: ExperimentContext):
         self.entry = entry
         self.experiment = entry.create(context)
-        #: normalized key -> declared keys (an aliased translated-donor cell is
-        #: delivered under the key the experiment declared, not the one that ran)
+        #: aliased key -> declared keys (a translated-donor cell is delivered
+        #: under the key the experiment declared, not the one that ran)
         self.requested: dict[CellKey, list[CellKey]] = {}
         for declared in entry.needs.cells:
-            self.requested.setdefault(_normalize(declared), []).append(declared)
+            self.requested.setdefault(cell_alias(declared), []).append(declared)
         self.pending: set[CellKey] = set(self.requested)
 
     def deliver(self, key: CellKey, result: "TransplantResult") -> bool:
@@ -221,34 +131,6 @@ class _Subscription:
             self.experiment.consume(declared, result)
         self.pending.discard(key)
         return not self.pending
-
-
-def _adopt_matrices(context: ExperimentContext, resolved: dict[CellKey, "TransplantResult"]) -> None:
-    """Install full-grid matrices assembled from this pass into the context.
-
-    Only complete grids are adopted (a subset pass must not masquerade as a
-    full campaign); entries are inserted in ``run_matrix``'s suite-then-host
-    order so ``fault_summary`` and friends iterate identically.
-    """
-    suite_names = context.built_suite_names()
-    if not suite_names:
-        return
-    for translate in (False, True):
-        cells = []
-        for suite in suite_names:
-            for host in context.hosts:
-                result = resolved.get(_normalize(CellKey(suite, host, translate)))
-                if result is None:
-                    break
-                cells.append(result)
-            else:
-                continue
-            break
-        else:
-            matrix = TransplantMatrix()
-            for result in cells:
-                matrix.add(result)
-            context.adopt_matrix(matrix, translated=translate)
 
 
 def stream_experiments(
@@ -292,60 +174,60 @@ def stream_experiments(
         return
 
     width = max_inflight if max_inflight is not None else shared.workers
-    resolved: dict[CellKey, "TransplantResult"] = {}
-    journals = _open_pass_journals(shared, plan)
 
     def _deliver(key: CellKey, result: "TransplantResult") -> list[ExperimentResult]:
-        resolved[key] = result
         ready = []
         for subscription in subscribers.get(key, ()):
             if subscription.deliver(key, result):
                 ready.append(subscription.experiment.finalize())
         return ready
 
-    try:
+    # serial passes keep the batch path's execution shape (per-cell file
+    # sharding on the context's worker pool); concurrent passes overlap whole
+    # cells instead, each running its files serially
+    with CellExecutor(
+        shared.suites,
+        plan,
+        shared.cells,
+        workers=shared.workers if width <= 1 else 1,
+        executor=shared.executor,
+        adapter_pool=shared.adapter_pool,
+        worker_pool=shared.worker_pool if width <= 1 else None,
+        store=shared.store,
+        incremental=shared.incremental,
+        resilience=shared.resilience,
+        journal=shared.journal,
+    ) as cells:
         if width <= 1:
-            # serial: same execution shape as the pre-streaming batch (per-cell
-            # file sharding on the context's worker pool, campaign cell order)
-            for key in plan:
-                result = _resolve_cell(shared, key, shared.workers, shared.worker_pool, journals.get(key.translate))
+            for key, result in cells:
                 yield from _deliver(key, result)
         else:
-            yield from _stream_concurrent(shared, plan, width, _deliver, journals)
-    finally:
-        for journal in journals.values():
-            journal.close()
-
-    _adopt_matrices(shared, resolved)
+            yield from _stream_concurrent(cells, shared.worker_pool, width, _deliver)
 
 
-def _stream_concurrent(
-    context: ExperimentContext, plan: list[CellKey], width: int, deliver, journals: dict | None = None
-) -> Iterator[ExperimentResult]:
+def _stream_concurrent(cells: CellExecutor, worker_pool, width: int, deliver) -> Iterator[ExperimentResult]:
     """Bounded cell fan-out over the worker pool's thread lane.
 
     At most ``width`` cells are in flight at any moment (backpressure: the
-    next cell is submitted only when one completes), and each cell runs its
-    files serially — cell-level overlap replaces file-level sharding.  The
-    thread lane comes from the context's persistent
-    :class:`~repro.core.parallel.WorkerPool` when it has one, else from a
-    pass-owned pool that is torn down with the generator.
+    next cell is submitted only when one completes).  The thread lane comes
+    from the context's persistent :class:`~repro.core.parallel.WorkerPool`
+    when it has one, else from a pass-owned pool that is torn down with the
+    generator.
     """
     from repro.core.parallel import WorkerPool
 
     owned_pool = None
-    lane_pool = context.worker_pool
+    lane_pool = worker_pool
     if lane_pool is None:
         owned_pool = WorkerPool(width, "thread")
         lane_pool = owned_pool
-    queued = deque(plan)
+    queued = deque(cells.plan)
     inflight: dict = {}
     try:
         while queued or inflight:
             while queued and len(inflight) < width:
                 key = queued.popleft()
-                journal = (journals or {}).get(key.translate)
-                inflight[lane_pool.submit_local(_resolve_cell, context, key, 1, None, journal)] = key
+                inflight[lane_pool.submit_local(cells.resolve, key)] = key
             done, _ = wait(inflight, return_when=FIRST_COMPLETED)
             for future in done:
                 key = inflight.pop(future)

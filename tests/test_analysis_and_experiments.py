@@ -13,6 +13,7 @@ from repro.analysis import (
     statement_type_distribution,
 )
 from repro.experiments import EXPERIMENTS, ExperimentContext, run_experiment
+from repro.store import set_default_store
 
 
 class TestAnalysis:
@@ -151,6 +152,20 @@ class TestExperiments:
             union_line, union_branch = entry["measured"]["squality"]
             assert union_line >= original_line
             assert union_branch >= original_branch
+
+    def test_storeless_ablations_leave_the_default_store_empty(self, tmp_path, monkeypatch):
+        # the 1%-tolerance DuckDB cell runs outside the matrix, but on the
+        # context's store like every cell: a storeless pass writes nothing
+        default_root = tmp_path / "default-store"
+        monkeypatch.setenv("REPRO_STORE_DIR", str(default_root))
+        previous = set_default_store(None)
+        try:
+            storeless = run_experiment("ablations", ExperimentContext(scale=0.05, seed=11, use_store=False))
+        finally:
+            set_default_store(previous)
+        assert [path for path in default_root.rglob("*") if path.is_file()] == []
+        stored = run_experiment("ablations", ExperimentContext(scale=0.05, seed=11, store_dir=str(tmp_path / "store")))
+        assert storeless.text == stored.text
 
     def test_cli_main_list(self, capsys):
         from repro.experiments.__main__ import main

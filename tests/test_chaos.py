@@ -12,7 +12,8 @@ gates of the resilience layer live here:
 * a wedged adapter is cut off by the watchdog and surfaces as HANG;
 * artifact-store I/O errors demote the campaign to storeless mode without
   changing a single result byte;
-* ``run_matrix(resume=...)`` re-enters only the degraded cells.
+* re-running a degraded campaign against its store re-enters only the
+  degraded cells.
 
 Chaos campaigns use the thread executor: worker *processes* re-import a
 pristine registry and would not see the injected chaos factories.
@@ -44,6 +45,7 @@ from repro.core.resilience import (
 from repro.core.transplant import run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.errors import AdapterQuarantinedError, WatchdogTimeout
+from repro.store import ArtifactStore
 from repro.testing.chaos import ChaosError, ChaosStore, FaultSchedule, FaultSpec, inject_adapter
 
 #: export REPRO_CHAOS_SEED=<n> to replay a CI failure exactly
@@ -207,25 +209,33 @@ class TestWatchdog:
 
 
 class TestResume:
-    """``run_matrix(resume=...)`` re-enters only the degraded cells."""
+    """A degraded campaign resumes by re-running it: only the gaps execute."""
 
-    def test_resume_executes_only_gaps(self, slt_suite):
+    def test_resume_executes_only_gaps(self, slt_suite, tmp_path):
         suites = {"slt": slt_suite}
+        store = ArtifactStore(root=tmp_path / "store", fingerprint="resume-fp")
         schedule = FaultSchedule([FaultSpec(op="execute", at=1, every=True)], seed=CHAOS_SEED)
         with inject_adapter("duckdb", schedule):
-            degraded = run_matrix(suites, hosts=("duckdb", "mysql"), store=None, resilience=FAST_POLICY)
+            degraded = run_matrix(suites, hosts=("duckdb", "mysql"), store=store, resilience=FAST_POLICY)
         assert degraded.incomplete_cells() == [("slt", "duckdb")]
 
         adapter_breaker().reset()  # operator fixed the infrastructure
+        store.stats.reset()
         pool = AdapterPool()
-        resumed = run_matrix(
-            suites, hosts=("duckdb", "mysql"), store=None, adapter_pool=pool, resume=degraded, resilience=FAST_POLICY
-        )
+        resumed = run_matrix(suites, hosts=("duckdb", "mysql"), store=store, adapter_pool=pool, resilience=FAST_POLICY)
         assert resumed.is_complete()
-        # the clean cell was carried over by reference, not re-executed
-        assert resumed.get("slt", "mysql") is degraded.get("slt", "mysql")
+        # the clean cell replayed from the store (degraded cells are never
+        # memoized, so the gap missed and re-entered)
+        assert store.stats.by_namespace["matrix-cells"] == {"hits": 1, "misses": 1}
         assert pool.stats()["created"] == 1, "resume must build an adapter only for the gap"
-        # and the re-entered cell matches a fresh fault-free run exactly
+        # the replayed cell is the one the degraded campaign ran, and the
+        # re-entered cell matches a fresh fault-free run exactly
+        assert_equivalent(
+            {
+                "degraded-campaign-cell": degraded.get("slt", "mysql"),
+                "replayed-cell": resumed.get("slt", "mysql"),
+            }
+        )
         assert_equivalent(
             {
                 "resumed-cell": resumed.get("slt", "duckdb"),

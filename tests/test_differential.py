@@ -18,7 +18,7 @@ import pytest
 from repro.analysis import ANALYSIS_PASSES
 from repro.analysis.incremental import SuiteAnalyzer, direct_report
 from repro.core.records import TestSuite
-from repro.core.transplant import run_transplant
+from repro.core.transplant import run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.perf import vectorize
 from repro.store import ArtifactStore, canonical_bytes
@@ -249,9 +249,10 @@ class TestStreamingCampaignParity:
                 perf_cache.set_caching(True)
 
         store_dir = str(tmp_path / "store")
+        reference_context = context()
         results = assert_equivalent(
             {
-                "batch-serial-storeless": batch(),
+                "batch-serial-storeless": lambda: run_batch(None, reference_context),
                 "stream-serial-storeless": stream(1),
                 "stream-width-4-storeless": stream(4),
                 "stream-width-4-workers-4": stream(4, workers=4, executor="thread"),
@@ -262,6 +263,17 @@ class TestStreamingCampaignParity:
             }
         )
         assert len(results["batch-serial-storeless"]) == 14
+        # the pass's cells read back as full matrices equal to a standalone
+        # plain + translated campaign over the same suites
+        assert_equivalent(
+            {
+                "context-matrices-after-pass": lambda: [reference_context.matrix, reference_context.translated_matrix],
+                "standalone-run-matrix": lambda: [
+                    run_matrix(reference_context.suites, store=None),
+                    run_matrix(reference_context.suites, translate_dialect=True, store=None),
+                ],
+            }
+        )
 
     def test_selected_subset_stream_matches_batch(self):
         from repro.experiments import ExperimentContext, stream_experiments

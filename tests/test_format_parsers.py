@@ -1,7 +1,5 @@
 """Native test-format parsers: SLT, DuckDB, PostgreSQL, MySQL."""
 
-import importlib
-import sys
 import textwrap
 
 import pytest
@@ -233,31 +231,3 @@ class TestSuiteLoader:
         suite = load_suite(str(tmp_path / "pg"), "postgres")
         assert len(suite.files) == 2
         assert any(isinstance(record, QueryRecord) and record.expected_rows for test_file in suite.files for record in test_file.records)
-
-
-class TestDeprecatedParserShims:
-    """The repro.core.parser_* shims still re-export, but warn on import."""
-
-    @pytest.mark.parametrize(
-        "shim, symbol",
-        [
-            ("repro.core.parser_slt", "parse_slt_text"),
-            ("repro.core.parser_duckdb", "parse_duckdb_text"),
-            ("repro.core.parser_postgres", "parse_postgres_text"),
-            ("repro.core.parser_mysql", "parse_mysql_text"),
-        ],
-    )
-    def test_shim_import_warns_and_reexports(self, shim, symbol):
-        # the module-level warning fires at import time, so force a re-import
-        sys.modules.pop(shim, None)
-        with pytest.warns(DeprecationWarning, match="deprecated; import from repro.formats"):
-            module = importlib.import_module(shim)
-        assert callable(getattr(module, symbol))
-
-    def test_shim_parses_like_the_format_module(self):
-        sys.modules.pop("repro.core.parser_slt", None)
-        with pytest.warns(DeprecationWarning):
-            shim = importlib.import_module("repro.core.parser_slt")
-        via_shim = shim.parse_slt_text(LISTING1, "listing1.test")
-        native = parse_slt_text(LISTING1, "listing1.test")
-        assert len(via_shim.records) == len(native.records)

@@ -157,10 +157,9 @@ class TestMatrixDonorReuse:
     def test_translated_matrix_reuses_donor_entries_when_cached(self):
         suite = build_suite("slt", file_count=2, records_per_file=15, seed=6)
         suites = {"slt": suite}
-        plain = run_matrix(suites, hosts=("sqlite", "duckdb"))
-        translated = run_matrix(
-            suites, hosts=("sqlite", "duckdb"), translate_dialect=True, reuse_donor_runs_from=plain
-        )
+        known = {}
+        plain = run_matrix(suites, hosts=("sqlite", "duckdb"), known=known)
+        translated = run_matrix(suites, hosts=("sqlite", "duckdb"), translate_dialect=True, known=known)
         # donor == sqlite for the slt suite: the entry is reused by reference
         assert translated.get("slt", "sqlite") is plain.get("slt", "sqlite")
         assert translated.get("slt", "duckdb") is not plain.get("slt", "duckdb")
@@ -168,9 +167,10 @@ class TestMatrixDonorReuse:
     def test_donor_reuse_is_disabled_with_caching_off(self):
         suite = build_suite("slt", file_count=2, records_per_file=15, seed=6)
         suites = {"slt": suite}
+        known = {}
         with perf_cache.caching_disabled():
-            plain = run_matrix(suites, hosts=("sqlite",))
-            translated = run_matrix(suites, hosts=("sqlite",), translate_dialect=True, reuse_donor_runs_from=plain)
+            plain = run_matrix(suites, hosts=("sqlite",), known=known)
+            translated = run_matrix(suites, hosts=("sqlite",), translate_dialect=True, known=known)
             assert translated.get("slt", "sqlite") is not plain.get("slt", "sqlite")
             # and the recomputed donor run is still identical
             assert_equivalent(

@@ -371,11 +371,12 @@ class TestDonorRunStore:
 
     def test_warm_translated_matrix_reuses_stored_donor_runs(self, store, suite):
         suites = {suite.name: suite}
-        plain = run_matrix(suites, hosts=("sqlite",), store=store)
+        known = {}
+        plain = run_matrix(suites, hosts=("sqlite",), store=store, known=known)
         hits_before = store.stats.hits
-        translated = run_matrix(suites, hosts=("sqlite",), translate_dialect=True, reuse_donor_runs_from=plain, store=store)
-        # donor cells of the translated campaign come from the in-memory
-        # matrix, not the store; the store hit count is unchanged
+        translated = run_matrix(suites, hosts=("sqlite",), translate_dialect=True, store=store, known=known)
+        # donor cells of the translated campaign come from the known cells of
+        # the plain campaign, not the store; the store hit count is unchanged
         assert store.stats.hits == hits_before
         assert translated.get(suite.name, "sqlite").result.total_cases == plain.get(suite.name, "sqlite").result.total_cases
 

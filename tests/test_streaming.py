@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
 import pytest
 
+from repro.core import transplant as transplant_module
 from repro.errors import ReproError, UnknownExperimentError
 from repro.experiments import (
     CellKey,
@@ -21,7 +21,6 @@ from repro.experiments import (
     register_experiment,
     stream_experiments,
 )
-from repro.experiments import stream as stream_module
 from repro.experiments.base import get_experiment_entry, unregister_experiment
 from repro.experiments.registry import EXPERIMENTS, run_all, run_experiment
 
@@ -126,7 +125,12 @@ def _register_fake(experiment_id, cells):
 
 
 class TestStreamEngine:
-    """Planner dedup, execute-once, backpressure, and ordering (fake cells)."""
+    """Planner dedup, execute-once, backpressure, and ordering (fake cells).
+
+    The fake replaces :func:`repro.core.transplant.run_transplant` — the one
+    call the cell executor makes per executed cell — so the cells name real
+    suites on made-up hosts.
+    """
 
     @pytest.fixture
     def fake_executor(self, monkeypatch):
@@ -134,26 +138,26 @@ class TestStreamEngine:
         lock = threading.Lock()
         state = {"active": 0, "max_active": 0, "delay": 0.0}
 
-        def _fake_execute(context, key, workers, worker_pool):
+        def _fake_run_transplant(suite, host, translate_dialect=False, **_settings):
             with lock:
                 state["active"] += 1
                 state["max_active"] = max(state["max_active"], state["active"])
-                calls.append(key)
+                calls.append(CellKey(suite.name, host, translate_dialect))
             if state["delay"]:
                 time.sleep(state["delay"])
             with lock:
                 state["active"] -= 1
-            return f"cell({key.suite}->{key.host})"
+            return f"cell({suite.name}->{host})"
 
-        monkeypatch.setattr(stream_module, "_execute_transplant", _fake_execute)
+        monkeypatch.setattr(transplant_module, "run_transplant", _fake_run_transplant)
         return calls, state
 
     def test_shared_cells_execute_exactly_once(self, fake_executor):
         calls, _state = fake_executor
-        shared = (CellKey("s1", "h1"), CellKey("s1", "h2"))
+        shared = (CellKey("slt", "h1"), CellKey("slt", "h2"))
         ids = [
             _register_fake("tmp-a", shared),
-            _register_fake("tmp-b", shared + (CellKey("s1", "h3"),)),
+            _register_fake("tmp-b", shared + (CellKey("slt", "h3"),)),
         ]
         try:
             results = {r.experiment_id: r for r in stream_experiments(ids, _tiny_context())}
@@ -161,20 +165,20 @@ class TestStreamEngine:
             for experiment_id in ids:
                 unregister_experiment(experiment_id)
         # the union has three unique cells; the overlap ran once, not twice
-        assert sorted(calls) == [CellKey("s1", "h1"), CellKey("s1", "h2"), CellKey("s1", "h3")]
-        assert results["tmp-a"].text == "cell(s1->h1),cell(s1->h2)"
-        assert results["tmp-b"].text.endswith("cell(s1->h3)")
+        assert sorted(calls) == [CellKey("slt", "h1"), CellKey("slt", "h2"), CellKey("slt", "h3")]
+        assert results["tmp-a"].text == "cell(slt->h1),cell(slt->h2)"
+        assert results["tmp-b"].text.endswith("cell(slt->h3)")
 
     def test_warm_context_executes_nothing_new(self, fake_executor):
         calls, _state = fake_executor
-        cells = (CellKey("s1", "h1"), CellKey("s1", "h2"))
+        cells = (CellKey("slt", "h1"), CellKey("slt", "h2"))
         ids = [_register_fake("tmp-warm", cells)]
         try:
             context = _tiny_context()
             first = list(stream_experiments(ids, context))
             assert len(calls) == 2
             second = list(stream_experiments(ids, context))
-            # every cell was served from the context's stream cache
+            # every cell was served from the context's resolved cells
             assert len(calls) == 2
             assert [r.text for r in first] == [r.text for r in second]
         finally:
@@ -183,7 +187,7 @@ class TestStreamEngine:
     def test_backpressure_bounds_inflight_cells(self, fake_executor):
         calls, state = fake_executor
         state["delay"] = 0.02
-        cells = tuple(CellKey("s1", f"h{index}") for index in range(8))
+        cells = tuple(CellKey("slt", f"h{index}") for index in range(8))
         ids = [_register_fake("tmp-wide", cells)]
         try:
             list(stream_experiments(ids, _tiny_context(), max_inflight=3))
@@ -199,8 +203,8 @@ class TestStreamEngine:
             return ExperimentResult(experiment_id="tmp-pure", title="pure", text="pure")
 
         ids = [
-            _register_fake("tmp-late", (CellKey("s1", "h1"), CellKey("s1", "h2"))),
-            _register_fake("tmp-early", (CellKey("s1", "h1"),)),
+            _register_fake("tmp-late", (CellKey("slt", "h1"), CellKey("slt", "h2"))),
+            _register_fake("tmp-early", (CellKey("slt", "h1"),)),
             "tmp-pure",
         ]
         try:
@@ -227,7 +231,7 @@ class TestStreamEngine:
 
     def test_duplicate_selection_collapses(self, fake_executor):
         calls, _state = fake_executor
-        ids = [_register_fake("tmp-dupsel", (CellKey("s1", "h1"),))]
+        ids = [_register_fake("tmp-dupsel", (CellKey("slt", "h1"),))]
         try:
             results = list(stream_experiments(["tmp-dupsel", "tmp-dupsel"], _tiny_context()))
         finally:
@@ -239,87 +243,39 @@ class TestStreamEngine:
 class TestRealCampaignDedup:
     """On real experiments the planner's dedup is visible in executed cells."""
 
-    def test_run_all_executes_each_unique_cell_once(self, monkeypatch):
-        executed = []
-        real_execute = stream_module._execute_transplant
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        cells = []
+        real_run_transplant = transplant_module.run_transplant
 
-        def spy(context, key, workers, worker_pool):
-            executed.append(key)
-            return real_execute(context, key, workers, worker_pool)
+        def spy(suite, host, translate_dialect=False, **settings):
+            cells.append(CellKey(suite.name, host, translate_dialect))
+            return real_run_transplant(suite, host, translate_dialect=translate_dialect, **settings)
 
-        monkeypatch.setattr(stream_module, "_execute_transplant", spy)
+        monkeypatch.setattr(transplant_module, "run_transplant", spy)
+        return cells
+
+    def test_run_all_executes_each_unique_cell_once(self, executed):
         run_all(_tiny_context())
         assert len(executed) == len(set(executed)), "a matrix cell executed twice in one pass"
         # the union: 12 plain grid cells + 9 translated off-diagonal cells
         # (translated donors alias to plain; table6/7 subsets overlap the grid)
         assert len(executed) == 21
 
-    def test_adopted_matrices_serve_late_matrix_reads(self):
+    def test_adopted_matrices_serve_late_matrix_reads(self, executed):
         context = _tiny_context()
         run_all(context)
-        # the pass covered the full grid, so matrix reads resolve without a
-        # second campaign — and donor_result comes from the adopted matrix
-        assert context._matrix is not None
-        assert context._translated_matrix is not None
+        executed.clear()
+        # the pass covered the full grid, so matrix reads resolve from the
+        # context's cells without executing a second campaign
+        matrix, translated = context.matrix, context.translated_matrix
         assert context.donor_result("slt").suite == "slt"
-
-
-class TestAsyncAdapterPath:
-    def test_execute_async_matches_execute(self):
-        from repro.adapters.minidb_adapter import MiniDBAdapter
-
-        async def _go():
-            with MiniDBAdapter("sqlite") as adapter:
-                adapter.execute("CREATE TABLE t(a INTEGER)")
-                adapter.execute("INSERT INTO t VALUES (1), (2)")
-                return await adapter.execute_async("SELECT a FROM t ORDER BY a")
-
-        outcome = asyncio.run(_go())
-        assert outcome.ok
-        assert outcome.rows == [[1], [2]]
-
-    def test_run_suite_async_matches_sync_runner(self):
-        from repro.adapters.minidb_adapter import MiniDBAdapter
-        from repro.core.runner import TestRunner
-        from repro.corpus import build_suite
-        from repro.store import canonical_bytes
-
-        suite = build_suite("slt", file_count=2, records_per_file=12, seed=5, store=None)
-        with MiniDBAdapter("sqlite") as adapter:
-            sync_result = TestRunner(adapter, host_name="sqlite").run_suite(suite)
-
-        async def _go():
-            with MiniDBAdapter("sqlite") as adapter:
-                return await adapter.run_suite_async(suite, host_name="sqlite")
-
-        async_result = asyncio.run(_go())
-        assert canonical_bytes(async_result) == canonical_bytes(sync_result)
-
-    def test_run_suite_async_runs_adapters_concurrently(self):
-        from repro.adapters.minidb_adapter import MiniDBAdapter
-        from repro.core.runner import TestRunner
-        from repro.corpus import build_suite
-        from repro.store import canonical_bytes
-
-        suite = build_suite("slt", file_count=2, records_per_file=12, seed=5, store=None)
-
-        async def _go():
-            adapters = [MiniDBAdapter("sqlite"), MiniDBAdapter("duckdb")]
-            for adapter in adapters:
-                adapter.setup()
-            try:
-                return await asyncio.gather(
-                    *(adapter.run_suite_async(suite, host_name=adapter.name) for adapter in adapters)
-                )
-            finally:
-                for adapter in adapters:
-                    adapter.teardown()
-
-        first, second = asyncio.run(_go())
-        with MiniDBAdapter("sqlite") as adapter:
-            reference = TestRunner(adapter, host_name="sqlite").run_suite(suite)
-        assert canonical_bytes(first) == canonical_bytes(reference)
-        assert second.suite == suite.name
+        assert executed == []
+        grid = {(suite, host) for suite in context.suites for host in context.hosts}
+        assert set(matrix.entries) == grid
+        assert set(translated.entries) == grid
+        # translated donor cells are their plain siblings
+        assert translated.get("slt", "sqlite") is matrix.get("slt", "sqlite")
 
 
 class TestStreamCli:
@@ -365,17 +321,3 @@ class TestStreamJournaling:
         # every executed cell of the pass finished and was journaled complete
         assert completed
         assert all(suite and host for suite, host in completed)
-
-    def test_fakes_without_journal_kwarg_still_work(self, monkeypatch):
-        # third-party stand-ins for _execute_transplant predate the journal
-        # kwarg; an unjournaled pass must keep calling them positionally
-        def legacy(context, key, workers, worker_pool):
-            return f"cell({key.suite}->{key.host})"
-
-        monkeypatch.setattr(stream_module, "_execute_transplant", legacy)
-        experiment_id = _register_fake("tmp-journal-legacy", (CellKey("s1", "h1"),))
-        try:
-            results = list(stream_experiments([experiment_id], _tiny_context()))
-        finally:
-            unregister_experiment(experiment_id)
-        assert len(results) == 1
