@@ -555,6 +555,92 @@ def test_pipeline_matrix_warm_full_matrix(benchmark, tmp_path):
     )
 
 
+#: Workload and gate of the sharding benchmark: the campaign suite's plain
+#: and translated matrices at workers=1 vs workers=SHARDING_WORKERS, caches
+#: and vectorization on for both sides and a fresh store each, so the one
+#: difference is sharding.  Plan-cache misses summed over the workers may
+#: exceed the serial run's by at most this factor: each file runs on one
+#: worker in every cell, so a worker misses only on its own files' statements
+#: (plus the statements files share).  The wall ratio is recorded, not gated.
+SHARDING_WORKERS = 2
+MAX_SHARDED_PLAN_MISS_RATIO = 1.15
+
+
+def test_pipeline_sharding(benchmark, tmp_path):
+    """Sharding measured alone: workers=1 vs workers=2 on one suite.
+
+    Both sides run the plain and the translated matrix of the campaign suite
+    against a fresh store, with statement caches cleared beforehand; the
+    sharded side runs both matrices on one process-flavoured
+    :class:`~repro.core.parallel.WorkerPool`, as an experiment context does.
+    Gated: the two sides are byte-identical, and the sharded side's plan-cache
+    misses, summed over the workers (the parent absorbs each worker's
+    ``cache_stats()`` delta), stay within ``MAX_SHARDED_PLAN_MISS_RATIO`` of
+    the serial side's.  The wall ratio is recorded with both bases and no
+    floor.
+    """
+    from repro.core.parallel import WorkerPool
+
+    suite = build_suite(
+        CAMPAIGN_SUITE, file_count=CAMPAIGN_FILES, records_per_file=CAMPAIGN_RECORDS_PER_FILE, seed=CAMPAIGN_SEED,
+        store=None,
+    )
+    suites = {suite.name: suite}
+    rounds = itertools.count()
+
+    def campaign(workers):
+        perf_cache.clear_caches()
+        store = ArtifactStore(root=tmp_path / f"store-{next(rounds)}")
+        known = {}
+        with WorkerPool(workers, "process") as pool:
+            plain = run_matrix(suites, workers=workers, worker_pool=pool, store=store, known=known)
+            translated = run_matrix(
+                suites, workers=workers, worker_pool=pool, store=store, translate_dialect=True, known=known
+            )
+        return (plain, translated), perf_cache.cache_stats()
+
+    serial_wall, (serial_result, serial_stats) = _timed_min_of(2, lambda: campaign(1))
+    started = time.perf_counter()
+    sharded_result, sharded_stats = benchmark.pedantic(lambda: campaign(SHARDING_WORKERS), rounds=1, iterations=1)
+    sharded_wall = time.perf_counter() - started
+    second_wall, _ = _timed_min_of(1, lambda: campaign(SHARDING_WORKERS))
+    sharded_wall = min(sharded_wall, second_wall)
+
+    assert _matrix_result_bytes(sharded_result) == _matrix_result_bytes(serial_result), (
+        f"workers={SHARDING_WORKERS} campaign must be byte-identical to workers=1"
+    )
+    serial_misses = serial_stats["plan"]["misses"]
+    sharded_misses = sharded_stats["plan"]["misses"]
+    miss_ratio = sharded_misses / serial_misses if serial_misses else float("inf")
+    update_pipeline_report(
+        {
+            "pipeline_sharding": {
+                "suite": CAMPAIGN_SUITE,
+                "hosts": list(DEFAULT_HOSTS),
+                "files": CAMPAIGN_FILES,
+                "records": _total_records(serial_result),
+                "workers": SHARDING_WORKERS,
+                "serial_wall_s": round(serial_wall, 4),
+                "sharded_wall_s": round(sharded_wall, 4),
+                "speedup_sharded_vs_serial": round(serial_wall / sharded_wall, 3) if sharded_wall else None,
+                "serial_plan_misses": serial_misses,
+                "sharded_plan_misses": sharded_misses,
+                "plan_miss_ratio": round(miss_ratio, 3),
+                "max_plan_miss_ratio": MAX_SHARDED_PLAN_MISS_RATIO,
+                "cache_stats": {"serial": serial_stats, "sharded": sharded_stats},
+            }
+        }
+    )
+    print(
+        f"\nsharding: workers=1 {serial_wall:.3f}s, workers={SHARDING_WORKERS} {sharded_wall:.3f}s "
+        f"({serial_wall / sharded_wall:.2f}x); plan misses {serial_misses} vs {sharded_misses} ({miss_ratio:.2f}x)"
+    )
+    assert miss_ratio <= MAX_SHARDED_PLAN_MISS_RATIO, (
+        f"plan-cache misses summed over {SHARDING_WORKERS} workers must stay within "
+        f"{MAX_SHARDED_PLAN_MISS_RATIO}x of the serial run's (got {sharded_misses} vs {serial_misses})"
+    )
+
+
 def test_pipeline_streaming(benchmark, tmp_path):
     """One streaming pass vs serial per-experiment batch runs, cold store.
 
@@ -806,7 +892,7 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
     (the warm side's wall is single-digit milliseconds, where one scheduler
     gap on a shared runner swamps the ratio; both walls are still reported),
     a 7-hit/1-miss-per-pass ``file-analysis`` profile, and byte-identical
-    reports against the storeless scan at ``workers=1`` and ``workers=4``.
+    reports against the storeless scan.
     """
     from repro.analysis.incremental import ANALYSIS_PASSES, SuiteAnalyzer, direct_report
 
@@ -893,16 +979,12 @@ def test_pipeline_analysis_warm(benchmark, tmp_path):
         warm_wall = min(warm_wall, time.perf_counter() - started)
 
     serial_reference = SuiteAnalyzer(store=None).full_report(edited)
-    sharded_reference = SuiteAnalyzer(store=None, workers=CAMPAIGN_WORKERS, executor="thread").full_report(edited)
 
     reference = canonical_bytes(cold_result)
     assert canonical_bytes(warm_result) == reference, (
         "warm assembly must be byte-identical to the direct whole-suite scan"
     )
     assert canonical_bytes(serial_reference) == reference
-    assert canonical_bytes(sharded_reference) == reference, (
-        f"storeless workers={CAMPAIGN_WORKERS} analysis must be byte-identical to serial"
-    )
     passes = len(ANALYSIS_PASSES)
     expected_lookups = {"hits": (INCREMENTAL_FILES - 1) * passes, "misses": passes}
     assert analysis_lookups == expected_lookups, (

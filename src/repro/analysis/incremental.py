@@ -18,12 +18,12 @@ The store contract mirrors ``file-results``:
   (:func:`repro.store.codec.encode_analysis_partial`) — magic, version byte,
   payload digest — and any frame the codec rejects is invalidated and
   re-scanned, never trusted,
-* misses fan out over the campaign's :class:`~repro.core.parallel.WorkerPool`
-  (scans are pure; the parent persists, so store stats stay with the live
-  store), and a storeless run degrades to scanning every file — the merge is
-  the whole-suite scan, value-identical by construction.
+* misses are scanned in-process — a scan costs less than shipping its file
+  to a pool worker — and persisted by the same process, and a storeless run
+  degrades to scanning every file — the merge is the whole-suite scan,
+  value-identical by construction.
 
-:class:`SuiteAnalyzer` binds a store/worker configuration once (an
+:class:`SuiteAnalyzer` binds a store once (an
 :class:`~repro.experiments.context.ExperimentContext` holds one) and exposes
 the familiar scanner signatures.
 """
@@ -40,9 +40,8 @@ from repro.store import codec as result_codec
 from repro.store.keys import FILE_ANALYSIS_NAMESPACE, analysis_file_key
 
 #: The four analysis passes: pass id -> module-level per-file scan function.
-#: Scans are pure functions of the file (picklable, so process-pool workers
-#: can receive them); the pass id is the store-key component that keeps one
-#: file's partials apart.
+#: Scans are pure functions of the file; the pass id is the store-key
+#: component that keeps one file's partials apart.
 ANALYSIS_PASSES: dict[str, Callable[[TestFile], dict]] = {
     "features": features.file_command_census,
     "statements": statements.file_statement_profile,
@@ -65,100 +64,52 @@ def _load_partial(store: "artifact_store.ArtifactStore", key: dict, pass_id: str
         return None
 
 
-def _scan_file(pass_id: str, test_file: TestFile) -> dict:
-    """Worker-side scan of one file (module-level so process pools can pickle it)."""
-    return ANALYSIS_PASSES[pass_id](test_file)
-
-
 def suite_partials(
     suite: TestSuite,
     pass_id: str,
     store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
-    workers: int = 1,
-    executor: str = "auto",
-    worker_pool=None,
 ) -> list[dict]:
     """Per-file partials of ``pass_id`` over ``suite``, in file order.
 
     Every file is probed in the store first and only the misses are scanned
-    — serially, or over a worker pool when several files miss at once
-    (``worker_pool`` reuses a campaign's persistent pool; ``workers > 1``
-    without one shards over an ephemeral pool).  Fresh partials are
-    persisted by the parent, so the next assembly — in any process — finds
-    them.  ``store=None`` (or the global store switch) scans every file.
+    and persisted, so the next assembly — in any process — finds them.
+    ``store=None`` (or the global store switch) scans every file.
     """
     scan = ANALYSIS_PASSES[pass_id]  # unknown pass ids fail here, before any I/O
     backing = artifact_store.active_store(store)
     if backing is None:
         return [scan(test_file) for test_file in suite.files]
     keys = [analysis_file_key(pass_id, test_file) for test_file in suite.files]
-    partials: dict[int, dict] = {}
-    missing: list[tuple[int, TestFile]] = []
+    partials = [_load_partial(backing, key, pass_id) for key in keys]
     for index, test_file in enumerate(suite.files):
-        loaded = _load_partial(backing, keys[index], pass_id)
-        if loaded is not None:
-            partials[index] = loaded
+        if partials[index] is not None:
             continue
-        missing.append((index, test_file))
-    if missing:
-        tasks = [(pass_id, test_file) for _, test_file in missing]
-        if workers > 1 and len(missing) > 1:
-            from repro.core.parallel import WorkerPool, map_over_pool
-
-            owns_pool = worker_pool is None
-            if worker_pool is None:
-                worker_pool = WorkerPool(min(workers, len(missing)), executor)
-            try:
-                produced = map_over_pool(worker_pool, _scan_file, tasks)
-            finally:
-                if owns_pool:
-                    worker_pool.shutdown()
-        else:
-            produced = [_scan_file(*task) for task in tasks]
-        for (index, _), partial in zip(missing, produced):
-            partials[index] = partial
-            try:
-                blob = result_codec.encode_analysis_partial(pass_id, partial)
-            except result_codec.CodecError:
-                continue  # unencodable partial: reuse simply does not extend to it
-            backing.save(FILE_ANALYSIS_NAMESPACE, keys[index], blob)
-    return [partials[index] for index in range(len(suite.files))]
+        partials[index] = scan(test_file)
+        try:
+            blob = result_codec.encode_analysis_partial(pass_id, partials[index])
+        except result_codec.CodecError:
+            continue  # unencodable partial: reuse simply does not extend to it
+        backing.save(FILE_ANALYSIS_NAMESPACE, keys[index], blob)
+    return partials
 
 
 class SuiteAnalyzer:
     """Store-backed, incremental versions of the four RQ1/RQ2 scanners.
 
-    Binds the store/worker configuration once; every method probes the
+    Binds the store once; every method probes the
     ``file-analysis`` namespace per file and assembles the suite-level
     answer from the partials — value-identical to the direct whole-suite
     scanners (partials merge in file order, reproducing the scan's counter
     insertion order exactly, on top of the canonical serialization's
     key-order independence).
-
-    ``worker_pool`` may be a live :class:`~repro.core.parallel.WorkerPool`
-    or a zero-argument callable returning one (an
-    :class:`~repro.experiments.context.ExperimentContext` passes its lazy
-    pool property that way, so analysis alone never forces pool creation).
     """
 
-    def __init__(
-        self,
-        store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT,
-        workers: int = 1,
-        executor: str = "auto",
-        worker_pool=None,
-    ):
+    def __init__(self, store: "artifact_store.ArtifactStore | str | None" = artifact_store.DEFAULT):
         self.store = store
-        self.workers = workers
-        self.executor = executor
-        self.worker_pool = worker_pool
 
     def partials(self, suite: TestSuite, pass_id: str) -> list[dict]:
         """Per-file partials of one pass (see :func:`suite_partials`)."""
-        pool = self.worker_pool() if callable(self.worker_pool) else self.worker_pool
-        return suite_partials(
-            suite, pass_id, store=self.store, workers=self.workers, executor=self.executor, worker_pool=pool
-        )
+        return suite_partials(suite, pass_id, store=self.store)
 
     # -- features (Table 2) --------------------------------------------------------
 

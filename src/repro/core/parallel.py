@@ -8,9 +8,11 @@ output: same per-file ordering, same per-record outcomes.
 
 Two pool flavours are supported:
 
-* ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`; each
-  worker re-creates the adapter from the registry, so nothing stateful is
-  pickled (only the test files and the returned results travel).
+* ``"process"`` — one single-process :class:`concurrent.futures.ProcessPoolExecutor`
+  per worker (a *lane*; see :class:`WorkerPool`); each worker re-creates the
+  adapter from the registry, so nothing stateful is pickled.  Test files
+  travel in with their store keys, computed by the submitter; results travel
+  back as codec frames, which the submitter decodes against its own files.
 * ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor` fallback
   for adapters that cannot be re-created in another process and for
   single-core machines, where fork overhead cannot pay for itself.  Threaded
@@ -209,11 +211,6 @@ def _worker_store(spec: StoreSpec | None) -> ArtifactStore | None:
         return store
 
 
-def _file_result_key(spec: "RunnerSpec", test_file: TestFile) -> dict:
-    """Store key of one file's results (see :func:`repro.store.keys.file_result_key`)."""
-    return file_result_key(spec, test_file)
-
-
 def _load_file_result(store: "ArtifactStore", key: dict, test_file: TestFile):
     """``(frame, FileResult)`` for a ``file-results`` entry, or None on miss.
 
@@ -270,9 +267,9 @@ class ShardedRunReport:
     workers: int
     executor: str                          # "process" | "thread" | "serial"
     cache_stats: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: per-file codec frames the store-aware shards loaded or encoded, keyed
-    #: by suite file index (absent for storeless runs and unencodable files);
-    #: suite-level bundling reuses these instead of re-encoding
+    #: per-file codec frames the workers shipped back, keyed by suite file
+    #: index (absent for serial runs and unencodable files); suite-level
+    #: bundling reuses these instead of re-encoding
     file_blobs: dict[int, bytes] = field(default_factory=dict)
     #: unrecovered infrastructure faults (also attached to ``result``);
     #: empty for clean — and cleanly *recovered* — runs
@@ -402,15 +399,31 @@ def _execute_shard_file(
         return file_result, True, None
 
 
+#: one shard item: (suite file index, the file, its ``file-results`` store
+#: key or None when the run is storeless).  The submitter computes the keys:
+#: it holds the per-object ``content_hash`` memo, and a worker that re-hashed
+#: every unpickled file would canonical-walk it once per cell.
+ShardItem = tuple[int, TestFile, "dict | None"]
+
+
+def _portable(file_result: FileResult, test_file: TestFile) -> "bytes | FileResult":
+    """What a worker ships back for one file: its codec frame, or the
+    :class:`FileResult` itself when the codec cannot encode it."""
+    try:
+        return result_codec.encode_file_result(file_result, test_file)
+    except result_codec.CodecError:
+        return file_result
+
+
 def _run_shard(
     spec: RunnerSpec,
-    shard: list[tuple[int, TestFile]],
+    shard: list[ShardItem],
     caching: bool = True,
     collect_stats: bool = True,
     store_ref: "ArtifactStore | StoreSpec | None" = None,
     probe_store: bool = True,
     policy: "ResiliencePolicy | None" = None,
-) -> tuple[list[tuple[int, FileResult, "bytes | None"]], dict, list[InfraFailure]]:
+) -> tuple[list[tuple[int, "bytes | FileResult"]], dict, list[InfraFailure]]:
     """Worker entry point: run one chunk of files on a pooled adapter.
 
     ``caching`` mirrors the submitting process's global cache switch into
@@ -421,15 +434,15 @@ def _run_shard(
     serves its next shard — or next suite — on the same live instance.
 
     ``store_ref`` makes the shard **store-aware**: each file's results are
-    served from the ``file-results`` namespace (codec payloads keyed by file
-    content + runner config) before touching an adapter; misses execute and
-    persist.  A shard whose every file is warm never acquires an adapter at
-    all.  Thread workers receive the campaign's live (thread-safe)
-    :class:`ArtifactStore` — one instance, one set of stats and byte
-    estimates; process workers receive a :class:`StoreSpec` and re-open the
-    store on their side.  ``probe_store=False`` skips the per-file load while
-    keeping the persist: incremental assembly uses it for files it *already*
-    probed, so known misses are not looked up — and counted — twice.
+    served from the ``file-results`` namespace under the key its shard item
+    carries, before touching an adapter; misses execute and persist.  A
+    shard whose every file is warm never acquires an adapter at all.  Thread
+    workers receive the campaign's live (thread-safe) :class:`ArtifactStore`
+    — one instance, one set of stats and byte estimates; process workers
+    receive a :class:`StoreSpec` and re-open the store on their side.
+    ``probe_store=False`` skips the per-file load while keeping the persist:
+    incremental assembly uses it for files it *already* probed, so known
+    misses are not looked up — and counted — twice.
 
     ``policy`` (a :class:`~repro.core.resilience.ResiliencePolicy`) arms
     per-file retries, the watchdog deadline, and circuit-breaker accounting
@@ -439,9 +452,11 @@ def _run_shard(
     element, alongside synthesized stand-in results that keep the merge
     aligned with the suite's file list.
 
-    Each result travels as ``(index, FileResult, frame-or-None)``: the codec
-    frame a store-aware shard loaded or encoded rides back to the submitter,
-    so suite-level bundling reuses it instead of re-encoding the file.
+    Each result travels as ``(index, frame)``, the file's codec frame (the
+    one persisted, when the store is on); the submitter decodes it against
+    its own :class:`TestFile`, so merged results reference the submitter's
+    records, and suite-level bundling reuses the frame as is.  Only a result
+    the codec cannot encode travels as the :class:`FileResult` itself.
 
     Every error raised by shard work — adapter acquisition included — leaves
     this function as :class:`ShardExecutionError`, so the submitter's pool-
@@ -462,13 +477,13 @@ def _run_shard(
 
 def _execute_shard(
     spec: RunnerSpec,
-    shard: list[tuple[int, TestFile]],
+    shard: list[ShardItem],
     caching: bool,
     collect_stats: bool,
     store_ref: "ArtifactStore | StoreSpec | None",
     probe_store: bool,
     policy: "ResiliencePolicy | None",
-) -> tuple[list[tuple[int, FileResult, "bytes | None"]], dict, list[InfraFailure]]:
+) -> tuple[list[tuple[int, "bytes | FileResult"]], dict, list[InfraFailure]]:
     perf_cache.set_caching(caching)
     before = perf_cache.cache_stats() if collect_stats else {}
     store = store_ref if isinstance(store_ref, ArtifactStore) else _worker_store(store_ref)
@@ -493,24 +508,21 @@ def _execute_shard(
 
     failures: list[InfraFailure] = []
     try:
-        results: list[tuple[int, FileResult, bytes | None]] = []
-        for index, test_file in shard:
+        results: list[tuple[int, bytes | FileResult]] = []
+        for index, test_file, key in shard:
             if shutdown.draining():
                 # the file that was executing when the drain was requested
                 # has finished (and persisted); everything after it in this
                 # shard degrades to a resumable stand-in
                 file_result, failure = _drained_file_result(spec.host_name, test_file)
                 failures.append(failure)
-                results.append((index, file_result, None))
+                results.append((index, _portable(file_result, test_file)))
                 continue
-            key = None
             if store is not None:
-                key = _file_result_key(spec, test_file)
                 if probe_store:
                     loaded = _load_file_result(store, key, test_file)
                     if loaded is not None:
-                        blob, file_result = loaded
-                        results.append((index, file_result, blob))
+                        results.append((index, loaded[0]))
                         store_hits += 1
                         continue
                 store_misses += 1
@@ -519,15 +531,10 @@ def _execute_shard(
             )
             if failure is not None:
                 failures.append(failure)
-            blob = None
-            if key is not None and persistable:
-                try:
-                    blob = result_codec.encode_file_result(file_result, test_file)
-                except result_codec.CodecError:
-                    pass  # unencodable file result: reuse simply does not extend to it
-                else:
-                    store.save(FILE_RESULTS_NAMESPACE, key, blob)
-            results.append((index, file_result, blob))
+            payload = _portable(file_result, test_file)
+            if store is not None and persistable and isinstance(payload, bytes):
+                store.save(FILE_RESULTS_NAMESPACE, key, payload)
+            results.append((index, payload))
             kill_point("file-finish")
     except AdapterNotFoundError:
         raise  # infrastructure: the submitter degrades to threads
@@ -552,18 +559,14 @@ def _execute_shard(
     return results, stats, failures
 
 
-def _merge(
-    suite: TestSuite, spec: RunnerSpec, indexed_results: list[tuple[int, FileResult, "bytes | None"]]
-) -> SuiteResult:
-    merged = SuiteResult(suite=suite.name, host=spec.host_name)
-    merged.files = [file_result for _, file_result, _ in sorted(indexed_results, key=lambda item: item[0])]
-    return merged
+def _shards(items: list[ShardItem], workers: int) -> list[list[ShardItem]]:
+    """Round-robin file shards; deterministic and roughly size-balanced.
 
-
-def _shards(suite: TestSuite, workers: int) -> list[list[tuple[int, TestFile]]]:
-    """Round-robin file shards; deterministic and roughly size-balanced."""
-    indexed = list(enumerate(suite.files))
-    return [shard for shard in (indexed[offset::workers] for offset in range(workers)) if shard]
+    Shard ``k`` holds files ``k, k + workers, ...`` and, as task ``k`` of its
+    map, runs on worker lane ``k`` (see :class:`WorkerPool`), so a file lands
+    on the same worker in every cell of a campaign.
+    """
+    return [shard for shard in (items[offset::workers] for offset in range(workers)) if shard]
 
 
 class WorkerPool:
@@ -573,9 +576,22 @@ class WorkerPool:
     ``run_transplant``: the executor (and therefore each worker process, and
     each worker's adapter pool) survives from one suite to the next, which is
     what makes per-worker adapter reuse span a whole campaign instead of a
-    single sharded run.  A process-pool infrastructure failure permanently
-    degrades the pool to threads — the same recovery the one-shot path uses,
-    made sticky so a campaign does not re-probe a broken fork on every suite.
+    single sharded run.
+
+    The process flavour is ``workers`` single-process **lanes**, and task
+    ``i`` of every map runs on lane ``i mod workers``.  Shards are
+    round-robin (:func:`_shards`), so file ``j`` of a suite runs on the same
+    worker process in every cell of a campaign, and corpus donor recording
+    (one task per file) lands there too: each worker's tokenize, plan and
+    translate caches cover a fixed share of the statements instead of
+    whichever files the scheduler handed it.  The thread flavour is one
+    shared thread pool (threads share the process-global caches anyway), and
+    the 1-core inline path runs tasks on the calling thread; neither has
+    lanes.
+
+    A process-pool infrastructure failure that crash containment cannot
+    absorb permanently degrades the pool to threads — made sticky so a
+    campaign does not re-probe a broken fork on every suite.
     """
 
     def __init__(self, workers: int, executor: str = "auto"):
@@ -584,7 +600,8 @@ class WorkerPool:
             cores = os.cpu_count() or 1
             executor = "process" if cores > 1 else "thread"
         self.flavour = executor               # "process" | "thread"
-        self._pool = None
+        self._lanes: list[ProcessPoolExecutor | None] = [None] * self.workers
+        self._threads: ThreadPoolExecutor | None = None
         # A thread pool on a single core serialises GIL-bound shard work
         # anyway, so dispatching through it buys nothing and costs thread
         # spawns plus lock handoffs per shard.  Run the same worker entry
@@ -595,11 +612,21 @@ class WorkerPool:
         self._inline_adapters: AdapterPool | None = None
         self._local_pool: ThreadPoolExecutor | None = None
 
-    def _ensure(self):
-        if self._pool is None:
-            pool_class = ProcessPoolExecutor if self.flavour == "process" else ThreadPoolExecutor
-            self._pool = pool_class(max_workers=self.workers)
-        return self._pool
+    def _executor_for(self, index: int):
+        """The executor task ``index`` runs on: its lane, or the thread pool."""
+        if self.flavour == "process":
+            lane = index % self.workers
+            if self._lanes[lane] is None:
+                self._lanes[lane] = ProcessPoolExecutor(max_workers=1)
+            return self._lanes[lane]
+        if self._threads is None:
+            self._threads = ThreadPoolExecutor(max_workers=self.workers)
+        return self._threads
+
+    def _close_lane(self, lane: int) -> None:
+        if self._lanes[lane] is not None:
+            self._lanes[lane].shutdown()
+            self._lanes[lane] = None
 
     def degrade_to_threads(self) -> None:
         self.shutdown()
@@ -627,16 +654,16 @@ class WorkerPool:
         The generic sibling of :meth:`map_shards` for non-runner workloads —
         corpus generation shards its per-file donor recording over the same
         campaign pool this way.  ``fn`` must be a module-level callable when
-        the pool is process-flavoured (it travels by pickle).
+        the pool is process-flavoured (it travels by pickle).  Task ``i`` runs
+        on lane ``i mod workers``.
 
-        **Worker-crash containment**: a task whose future dies of pool
-        infrastructure breakage (a ``kill -9``'d worker breaks the whole
-        ``ProcessPoolExecutor`` — every pending future raises
-        :class:`BrokenProcessPool`) does not fail the batch.  Results that
-        already arrived are kept; the pool is rebuilt once and only the
-        unfinished tasks are re-dispatched — on the rebuilt process pool
-        first, then (if it breaks again, or for non-rebuildable breakage
-        like pickling errors) on the sticky thread-degraded pool.
+        **Worker-crash containment**, per lane: a ``kill -9``'d worker breaks
+        its lane — every pending future of that lane raises
+        :class:`BrokenProcessPool` — but not the batch.  Results that already
+        arrived are kept, the other lanes keep running, and only the
+        unfinished tasks are re-dispatched: on the broken lanes, rebuilt
+        once, and then (if a lane breaks again, or for non-rebuildable
+        breakage like pickling errors) on the sticky thread-degraded pool.
         ``retry_tasks``, when given, replaces the argument tuples used for
         re-dispatch (same length/order as ``tasks``); :meth:`map_shards`
         uses it to turn store probing on so a crashed worker's persisted
@@ -662,8 +689,7 @@ class WorkerPool:
         rebuilt = False
         while True:
             try:
-                pool = self._ensure()
-                futures = {index: pool.submit(fn, *dispatch[index]) for index in pending}
+                futures = {index: self._executor_for(index).submit(fn, *dispatch[index]) for index in pending}
             except Exception as error:
                 # bootstrap/submission failure: nothing of this round ran
                 if self.flavour != "process" or not _is_pool_infra_error(error):
@@ -688,16 +714,16 @@ class WorkerPool:
             if retry_tasks is not None:
                 dispatch = list(retry_tasks)
             if isinstance(last_infra, BrokenProcessPool) and not rebuilt:
-                # a killed worker broke the pool; the completed futures kept
+                # a killed worker broke its lane; the completed futures kept
                 # their results — rebuild once and re-dispatch only the rest
                 rebuilt = True
+                lanes = sorted({index % self.workers for index in pending})
                 logger.warning(
-                    "worker pool broke mid-batch (%s); rebuilding and re-dispatching %d unfinished task(s)",
-                    last_infra, len(pending),
+                    "worker lane(s) %s broke mid-batch (%s); rebuilding and re-dispatching %d unfinished task(s)",
+                    lanes, last_infra, len(pending),
                 )
-                if self._pool is not None:
-                    self._pool.shutdown()
-                    self._pool = None
+                for lane in lanes:
+                    self._close_lane(lane)
             else:
                 self.degrade_to_threads()
                 if self._inline:
@@ -739,9 +765,11 @@ class WorkerPool:
             except (OSError, RuntimeError):
                 pass  # AdapterPool.close is best-effort (thread-affine handles)
             self._inline_adapters = None
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        for lane in range(self.workers):
+            self._close_lane(lane)
+        if self._threads is not None:
+            self._threads.shutdown()
+            self._threads = None
             # thread-flavour workers parked adapters in their per-thread
             # pools; the threads are gone now, so reclaim those adapters
             close_dead_worker_adapter_pools()
@@ -765,24 +793,34 @@ def _run_with_pool(
     policy: "ResiliencePolicy | None" = None,
 ):
     collect_stats = worker_pool.flavour == "process"
-    shards = _shards(suite, min(workers, worker_pool.workers))
+    # keys are computed here, against this process's content-hash memo, and
+    # travel with the shard items: workers never hash a file
+    keys = [file_result_key(spec, test_file) if store is not None else None for test_file in suite.files]
+    items = [(index, test_file, keys[index]) for index, test_file in enumerate(suite.files)]
+    shards = _shards(items, min(workers, worker_pool.workers))
     caching = perf_cache.caching_enabled()
     # thread workers share this process: hand them the live store (one stats
     # and byte-estimate authority); process workers get a picklable spec
     store_ref = store if worker_pool.flavour == "thread" else store_spec_for(store)
     outcomes = worker_pool.map_shards(spec, shards, caching, collect_stats, store_ref, probe_store, policy)
-    indexed_results = [item for results, _, _ in outcomes for item in results]
+    merged = SuiteResult(suite=suite.name, host=spec.host_name, files=[None] * len(suite.files))
+    file_blobs: dict[int, bytes] = {}
+    for results, _, _ in outcomes:
+        for index, payload in results:
+            if isinstance(payload, bytes):
+                # decoded against this process's file, so every result
+                # references the submitter's own records
+                file_blobs[index] = payload
+                payload = result_codec.decode_file_result(payload, suite.files[index])
+            merged.files[index] = payload
     worker_stats = perf_cache.merge_stats(*(stats for _, stats, _ in outcomes))
-    file_blobs = {index: blob for index, _, blob in indexed_results if blob is not None}
     # deterministic order regardless of shard layout: failures are part of
     # the (partial) result and must not vary with worker interleaving
-    infra_failures = sorted(
+    merged.infra_failures = sorted(
         (failure for _, _, failures in outcomes for failure in failures),
         key=lambda failure: (failure.path, failure.kind),
     )
-    merged = _merge(suite, spec, indexed_results)
-    merged.infra_failures = infra_failures
-    return merged, worker_stats, file_blobs, infra_failures
+    return merged, worker_stats, file_blobs, merged.infra_failures
 
 
 def run_suite_sharded(
@@ -935,7 +973,7 @@ def assemble_suite_result(
     only when) assembly actually executes on them.
 
     Returns ``(merged result, per-file frames)``; the frames — loaded here,
-    encoded here, or shipped back from the store-aware workers — let
+    encoded here, or shipped back by the workers — let
     :func:`repro.core.transplant.run_transplant` bundle the suite-level cell
     by byte reuse instead of re-encoding any file (``None`` only for
     unencodable results).  Returns None when the runner's adapter cannot be
@@ -946,7 +984,7 @@ def assemble_suite_result(
         return None
     assembled: dict[int, FileResult] = {}
     blobs: list[bytes | None] = [None] * len(suite.files)
-    keys = [_file_result_key(spec, test_file) for test_file in suite.files]
+    keys = [file_result_key(spec, test_file) for test_file in suite.files]
     missing: list[tuple[int, TestFile]] = []
     infra_failures: list[InfraFailure] = []
     for index, test_file in enumerate(suite.files):

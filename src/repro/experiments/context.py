@@ -133,27 +133,20 @@ class ExperimentContext:
 
     @property
     def analysis(self):
-        """The campaign's incremental RQ1/RQ2 analyzer (store- and pool-backed).
+        """The campaign's incremental RQ1/RQ2 analyzer (store-backed).
 
         Every analysis-driven experiment (tables 2-3, figures 1-3) scans
         suites through this :class:`~repro.analysis.incremental.SuiteAnalyzer`
         instead of re-scanning whole suites: per-file partials are served
         from the store's ``file-analysis`` namespace and only changed files
-        are re-analyzed, fanned over the same worker pool the campaigns
-        execute on.  Storeless contexts (``use_store=False``) degrade to
-        direct scans — value-identical either way.
+        are re-analyzed, in this process.  Storeless contexts
+        (``use_store=False``) degrade to direct scans — value-identical
+        either way.
         """
         if self._analysis is None:
             from repro.analysis.incremental import SuiteAnalyzer
 
-            self._analysis = SuiteAnalyzer(
-                store=self.store,
-                workers=self.workers,
-                executor=self.executor,
-                # resolved per call: analysis shares the campaign's persistent
-                # pool, including one created after the analyzer was built
-                worker_pool=lambda: self.worker_pool,
-            )
+            self._analysis = SuiteAnalyzer(store=self.store)
         return self._analysis
 
     def close(self) -> None:

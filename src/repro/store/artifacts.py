@@ -32,6 +32,7 @@ rates (see ``benchmarks/bench_pipeline.py``).
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import pickle
@@ -218,12 +219,18 @@ class ArtifactStore:
         """Atomically write one artifact file; raises on failure.
 
         The temp file never survives a failed write — whatever raises, the
-        ``.tmp-`` file is unlinked before the error propagates.
+        ``.tmp-`` file is unlinked before the error propagates.  The shard
+        directory is created only when the temp file cannot be: it almost
+        always exists already, and a ``mkdir`` per save is a syscall per save.
         """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            mode="wb", dir=path.parent, prefix=".tmp-", suffix=".pkl", delete=False
+        open_temp = functools.partial(
+            tempfile.NamedTemporaryFile, mode="wb", dir=path.parent, prefix=".tmp-", suffix=".pkl", delete=False
         )
+        try:
+            handle = open_temp()
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = open_temp()
         try:
             with handle:
                 pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)

@@ -330,7 +330,7 @@ class TestFailureTeardown:
         try:
             with inject_adapter("duckdb", schedule):
                 results, _, failures = parallel._run_shard(
-                    spec, [(0, suite.files[0])], collect_stats=False, policy=policy
+                    spec, [(0, suite.files[0], None)], collect_stats=False, policy=policy
                 )
             assert [failure.kind for failure in failures] == ["retry-exhausted"]
             assert len(results) == 1

@@ -151,7 +151,8 @@ class TestAnalysisVariants:
     answer (Table 2 census, Figure 2 distribution, both Table 3 variants,
     Figure 3 predicates/joins, Figure 1 sizes) assembled from ``file-analysis``
     partials must be byte-identical — canonical serialization — to the direct
-    scan, cold store, warm store, storeless, and at workers 1 and 4.
+    scan, cold store, warm store and storeless.  Analysis scans in-process at
+    every campaign width, so worker count is not a variant here.
     """
 
     @pytest.mark.parametrize("suite_name", ("slt", "postgres"))
@@ -159,17 +160,16 @@ class TestAnalysisVariants:
         suite = build_suite(suite_name, file_count=4, records_per_file=20, seed=23, store=None)
         store = ArtifactStore(root=tmp_path / "store", fingerprint="diff-fp")
 
-        def assembled(**kwargs):
-            return lambda: SuiteAnalyzer(store=store, **kwargs).full_report(suite)
+        def assembled():
+            return SuiteAnalyzer(store=store).full_report(suite)
 
         assert_equivalent(
             {
                 "direct-scan": lambda: direct_report(suite),
-                "storeless-serial": lambda: SuiteAnalyzer(store=None).full_report(suite),
-                "storeless-workers-4": lambda: SuiteAnalyzer(store=None, workers=4, executor="thread").full_report(suite),
-                "assembled-cold": assembled(),
-                "assembled-warm": assembled(),
-                "assembled-warm-workers-4": assembled(workers=4, executor="thread"),
+                "storeless": lambda: SuiteAnalyzer(store=None).full_report(suite),
+                "assembled-cold": assembled,
+                "assembled-warm": assembled,
+                "assembled-warm-again": assembled,
             }
         )
         # the cold pass wrote one partial per (file, pass); both warm replays

@@ -11,6 +11,8 @@ shard/merge machinery, fallbacks, and worker bookkeeping around it.
 from __future__ import annotations
 
 import errno
+import os
+import threading
 
 import pytest
 
@@ -28,6 +30,8 @@ from repro.core.runner import TestRunner
 from repro.core.transplant import run_matrix, run_transplant
 from repro.corpus import build_suite
 from repro.perf import cache as perf_cache
+from repro.store import ArtifactStore
+from repro.store import keys as store_keys
 
 
 @pytest.fixture(autouse=True)
@@ -77,6 +81,66 @@ class TestShardedParity:
                 "workers-8": lambda: run_transplant(suite, "duckdb", workers=8, executor="thread", store=None),
             }
         )
+
+
+def _worker_pid(_value):
+    return os.getpid()
+
+
+class TestLanes:
+    def test_task_i_runs_on_lane_i_mod_workers_in_every_map(self):
+        # the affinity the per-worker statement caches rely on: shard k (and
+        # donor-recording task k) lands on the same worker in every map
+        pool = WorkerPool(2, "process")
+        try:
+            first = pool.map_tasks(_worker_pid, [(index,) for index in range(6)])
+            second = pool.map_tasks(_worker_pid, [(index,) for index in range(4)])
+        finally:
+            pool.shutdown()
+        assert len(set(first)) == 2
+        assert first == [first[index % 2] for index in range(6)]
+        assert second == first[:4]
+
+
+class TestShardBoundary:
+    """What crosses the process boundary: keys in, codec frames out."""
+
+    def test_process_sharded_results_reference_the_submitters_records(self):
+        suite = build_suite("slt", file_count=4, records_per_file=20, seed=13)
+        sharded = run_transplant(suite, "duckdb", workers=2, executor="process", store=None)
+        own_records = {id(record) for test_file in suite.files for record in test_file.records}
+        # frames are decoded against this process's files, so no result holds
+        # an unpickled copy of a record
+        assert all(
+            id(record_result.record) in own_records
+            for file_result in sharded.result.files
+            for record_result in file_result.results
+        )
+        assert_equivalent(
+            {
+                "serial": lambda: run_transplant(suite, "duckdb", store=None),
+                "process-workers-2": sharded,
+            }
+        )
+
+    def test_workers_never_compute_content_hashes(self, tmp_path, monkeypatch):
+        suite = build_suite("slt", file_count=4, records_per_file=15, seed=14)
+        spec = RunnerSpec(adapter_name="duckdb", host_name="duckdb", donor_dialect="slt")
+        store = ArtifactStore(root=tmp_path / "store", fingerprint="shard-keys-fp")
+        callers = []
+        original = store_keys.content_hash
+
+        def spy(value):
+            callers.append(threading.current_thread())
+            return original(value)
+
+        monkeypatch.setattr(store_keys, "content_hash", spy)
+        report = run_suite_sharded(suite, spec, workers=2, executor="thread", store=store)
+        assert report.executor == "thread"
+        assert store.stats.writes == len(suite.files)
+        # the submitter hashed every file; the workers only used the keys
+        assert callers
+        assert set(callers) == {threading.current_thread()}
 
 
 class TestShardedRunReport:

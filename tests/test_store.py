@@ -17,6 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import pickle
+import shutil
 import threading
 
 import pytest
@@ -476,6 +477,17 @@ class TestFailurePathHygiene:
         # a serialization bug is a corruption-class error, not a disk fault
         assert store.stats.errors == 1
         assert store.stats.io_errors == 0
+
+    def test_save_recreates_a_removed_shard_directory(self, store):
+        # saves skip the mkdir while the shard directory exists; one removed
+        # behind the store's back is recreated on the temp file's first miss
+        assert store.save("ns", {"k": 1}, "first") is True
+        shard = store.path_for("ns", {"k": 1}).parent
+        shutil.rmtree(shard)
+        assert store.save("ns", {"k": 1}, "second") is True
+        assert store.load("ns", {"k": 1}) == "second"
+        assert store.stats.errors == 0
+        assert self._tmp_leftovers(store) == []
 
 
 class TestStoreDegradation:
